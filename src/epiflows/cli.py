@@ -67,26 +67,21 @@ EXIT_COMPUTATION = 1
 EXIT_VALIDATION = 2
 
 
-def _atomic_write(path: str, write_body) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-epiflows-")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            write_body(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _atomic_write(path: str, write_to) -> None:
+    """Call write_to(tmp_path), then rename the temp file over path.
 
-
-def _atomic_write_path(path: str, write_to) -> None:
-    """Like _atomic_write but for writers that take a path, not a stream."""
+    mkstemp creates the file 0600 and the rename keeps that mode, so the
+    file first gets the mode a plain open() would give it, 0666 less the
+    umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-epiflows-")
     os.close(fd)
     try:
         write_to(tmp)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -94,15 +89,24 @@ def _atomic_write_path(path: str, write_to) -> None:
         raise
 
 
+def _write_text(path: str, text: str) -> None:
+    def body(tmp):
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+
+    _atomic_write(path, body)
+
+
 def _write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, lambda fh: fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n"))
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    def body(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    def body(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
     _atomic_write(path, body)
 
@@ -191,7 +195,7 @@ def cmd_simulate(args) -> int:
             noise_std=args.noise_std, rng=args.seed,
         )
     traj_path = _out(args, "trajectory.csv")
-    _atomic_write_path(traj_path, lambda p: write_trajectory_csv(p, trajectory))
+    _atomic_write(traj_path, lambda p: write_trajectory_csv(p, trajectory))
     final = trajectory.final_state
     summary = {
         "mode": args.mode,
@@ -239,7 +243,7 @@ def cmd_estimate(args) -> int:
     estimate = estimate_all(series, solver=args.solver)
     _write_json(_out(args, "estimate.json"), estimate.to_dict())
     csv_path = _out(args, "estimate.csv")
-    _atomic_write_path(csv_path, lambda p: write_estimate_csv(p, estimate))
+    _atomic_write(csv_path, lambda p: write_estimate_csv(p, estimate))
     bad = [nid for nid, ok in zip(estimate.node_ids, estimate.identifiable) if not ok]
     if bad:
         print(f"warning: {len(bad)} node(s) not identifiable: {', '.join(bad)}")
@@ -411,7 +415,7 @@ def _emit_trajectory_gnuplot(args, node_ids) -> None:
             f"  '< grep -E \"^[^,]+,{nid},\" trajectory.csv' using 1:5 "
             f"with lines title '{nid}'{tail}"
         )
-    _atomic_write(_out(args, "trajectory.gp"), lambda fh: fh.write("\n".join(lines) + "\n"))
+    _write_text(_out(args, "trajectory.gp"), "\n".join(lines) + "\n")
 
 
 def _emit_scatter_gnuplot(args) -> None:
@@ -424,7 +428,7 @@ def _emit_scatter_gnuplot(args) -> None:
             "     'scatter.csv' every ::1 using 2:4 with lines title 'full fit'",
         ]
     )
-    _atomic_write(_out(args, "scatter.gp"), lambda fh: fh.write(script + "\n"))
+    _write_text(_out(args, "scatter.gp"), script + "\n")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -518,36 +522,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv, with the --config file's values as the command's defaults.
+
+    The config becomes defaults of the chosen subparser before a second parse,
+    so every flag given on the command line wins, abbreviated or not, and
+    string values pass through the flags' type conversions.
+    """
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ValidationError("config must be a JSON object")
-        # config supplies defaults; explicit command-line flags win
-        defaults = {k: v for k, v in overrides.items() if k.replace("-", "_") in vars(args)}
-        unknown = set(overrides) - set(defaults)
-        if unknown:
-            raise ValidationError(f"config has unknown keys: {sorted(unknown)}")
-        explicit = _explicit_flags(argv)
-        for key, value in defaults.items():
-            dest = key.replace("-", "_")
-            if dest not in explicit:
-                setattr(args, dest, value)
-    return args
-
-
-def _explicit_flags(argv: list[str]) -> set[str]:
-    flags = set()
-    for token in argv:
-        if token.startswith("--"):
-            flags.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return flags
+    if not args.config:
+        return args
+    try:
+        with open(args.config) as fh:
+            overrides = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise ValidationError("config must be a JSON object")
+    options = set(vars(args)) - {"command", "func"}
+    defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
+    unknown = sorted(k for k in overrides if k.replace("-", "_") not in options)
+    if unknown:
+        raise ValidationError(f"config has unknown keys: {unknown}")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers.choices[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _fail(exc: Exception, code: int) -> int:

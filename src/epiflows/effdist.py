@@ -7,7 +7,6 @@ shifting-window predictor exploits by refitting the line on recent arrivals.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .errors import (
     NoOverlap,
     ValidationError,
 )
-from .network import FlowNetwork, NetworkSchedule
+from .network import FlowNetwork, NetworkSchedule, _shortest_paths
 
 EPS_SHIFT = 1.0  # one sampling interval of margin past the latest arrival
 
@@ -100,40 +99,16 @@ def log_distance_graph(network: FlowNetwork) -> DistanceGraph:
     return DistanceGraph(d=d)
 
 
-def _dijkstra(d: np.ndarray, sources: list[tuple[int, float]]) -> np.ndarray:
-    """Label-setting shortest paths over edge costs d[i, j] (hop j -> i).
-
-    Heap entries are (distance, node), so equal distances settle in node
-    order, keeping results deterministic.
-    """
-    n = d.shape[0]
-    dist = np.full(n, np.inf)
-    heap = []
-    for node, d0 in sources:
-        if d0 < dist[node]:
-            dist[node] = d0
-            heapq.heappush(heap, (d0, node))
-    finite_cols = [np.nonzero(np.isfinite(d[:, j]))[0] for j in range(n)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v in finite_cols[u]:
-            if v == u:
-                continue
-            dv = du + d[v, u]
-            if dv < dist[v]:
-                dist[v] = dv
-                heapq.heappush(heap, (dv, int(v)))
-    return dist
-
-
 def effective_distance_from(graph: DistanceGraph, source: int) -> np.ndarray:
     """Distances D[i] of every node i from the source (edges run j -> i,
     so this follows travel direction; unreachable nodes get inf)."""
     if not 0 <= source < graph.n:
         raise ValidationError(f"source {source} out of range for n={graph.n}")
-    return _dijkstra(graph.d, [(source, 0.0)])
+    # the sparse graph has a row per hop origin: cost[j, i] = d[i, j]
+    cost = graph.d.T
+    hops = np.isfinite(cost)
+    np.fill_diagonal(hops, False)
+    return _shortest_paths(hops, cost[hops], source)
 
 
 def group_effective_distance(network: FlowNetwork, infected: InfectedSet) -> np.ndarray:
@@ -156,21 +131,18 @@ def group_effective_distance(network: FlowNetwork, infected: InfectedSet) -> np.
     pops = network.populations
     w_group = (network.routing[:, mask] * pops[mask]).sum(axis=1) / pops[mask].sum()
 
-    d = np.full((n, n), np.inf)
+    # a virtual super-source, node n, stands for the group: it hops to each
+    # outside node i at cost -log w~_i, and outside-to-outside hops stay
     outside = ~mask
-    w_out = network.routing[np.ix_(outside, outside)]
-    block = np.full(w_out.shape, np.inf)
-    pos = w_out > 0
-    block[pos] = -np.log(w_out[pos])
-    d[np.ix_(outside, outside)] = block
-    exit_cost = np.full(n, np.inf)
-    pos = outside & (w_group > 0)
-    exit_cost[pos] = -np.log(w_group[pos])
-    d[:, mask] = exit_cost[:, None]
-    d[mask, :] = 0.0
-    np.fill_diagonal(d, 0.0)
-
-    return _dijkstra(d, [(m, 0.0) for m in members])
+    routing = network.routing.T  # a row per hop origin, as in the sparse graph
+    hops = np.zeros((n + 1, n + 1), dtype=bool)
+    hops[:n, :n] = (routing > 0) & outside[:, None] & outside[None, :]
+    np.fill_diagonal(hops, False)
+    hops[n, :n] = outside & (w_group > 0)
+    weights = np.concatenate([routing[hops[:n, :n]], w_group[hops[n, :n]]])
+    dist = _shortest_paths(hops, -np.log(weights), n)[:n]
+    dist[mask] = 0.0
+    return dist
 
 
 def arrival_times(times, signal, threshold: float) -> list[ArrivalRecord]:

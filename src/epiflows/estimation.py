@@ -10,11 +10,10 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dynamics import EpidemicParams, SystemState, Trajectory
 from .errors import DimensionMismatch, ScheduleMismatch, ValidationError
-from .network import NetworkSchedule
+from .network import FlowNetwork, NetworkSchedule
 
 RANK_RATIO_TOL = 1e-10
 
@@ -113,8 +112,8 @@ class ParameterEstimate:
         }
 
 
-def _step_groups(series: ObservationSeries):
-    """Consecutive step ranges sharing one network: yields (start, stop, net)."""
+def _step_groups(series: ObservationSeries) -> list[tuple[int, int, FlowNetwork]]:
+    """Consecutive step ranges sharing one network, as (start, stop, net)."""
     if series.schedule is None:
         raise ScheduleMismatch("observation series carries no flow schedule")
     t = series.steps
@@ -124,11 +123,12 @@ def _step_groups(series: ObservationSeries):
             nets.append(series.schedule.network_at(series.times[k]))
         except ValidationError as exc:
             raise ScheduleMismatch(str(exc)) from exc
-    start = 0
+    groups, start = [], 0
     for k in range(1, t + 1):
         if k == t or nets[k] is not nets[start]:
-            yield start, k, nets[start]
+            groups.append((start, k, nets[start]))
             start = k
+    return groups
 
 
 def build_regression(series: ObservationSeries, node: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,6 +138,12 @@ def build_regression(series: ObservationSeries, node: int) -> tuple[np.ndarray, 
     Psi holds the h-scaled features so that Psi @ (beta, sigma, delta, alpha)
     reproduces delta for data generated by the discrete model.
     """
+    return _build_regression(series, node, _step_groups(series))
+
+
+def _build_regression(
+    series: ObservationSeries, node: int, groups
+) -> tuple[np.ndarray, np.ndarray]:
     t = series.steps
     if t < 1:
         raise ValidationError("need at least one transition (T >= 1)")
@@ -147,7 +153,7 @@ def build_regression(series: ObservationSeries, node: int) -> tuple[np.ndarray, 
     q = series.data  # (T+1, 4, n)
 
     delta = np.empty((4, t))
-    for start, stop, net in _step_groups(series):
+    for start, stop, net in groups:
         if net.n != series.n:
             raise ScheduleMismatch("schedule node count does not match observations")
         g_i = net.gamma[node]
@@ -177,6 +183,8 @@ def _solve(psi: np.ndarray, delta: np.ndarray, solver: str) -> np.ndarray:
         theta, *_ = np.linalg.lstsq(psi, delta, rcond=None)
         return theta
     if solver == "nnls":
+        import scipy.optimize  # here, so that only NNLS estimation pays its import time
+
         theta, _ = scipy.optimize.nnls(psi, delta)
         return theta
     raise ValidationError(f"solver must be one of {SOLVERS}, got {solver!r}")
@@ -188,7 +196,11 @@ def estimate_node(series: ObservationSeries, node: int, solver: str = "nnls") ->
     A rank-deficient system still returns the minimum-norm (or nonnegative)
     solution but is flagged unidentifiable.
     """
-    psi, delta = build_regression(series, node)
+    return _estimate_node(series, node, solver, _step_groups(series))
+
+
+def _estimate_node(series: ObservationSeries, node: int, solver: str, groups) -> NodeEstimate:
+    psi, delta = _build_regression(series, node, groups)
     theta = _solve(psi, delta, solver)
     sv = np.linalg.svd(psi, compute_uv=False)
     if sv.max() == 0.0:
@@ -211,7 +223,8 @@ def estimate_node(series: ObservationSeries, node: int, solver: str = "nnls") ->
 
 def estimate_all(series: ObservationSeries, solver: str = "nnls") -> ParameterEstimate:
     """Per-node estimation across the network (the system decouples by node)."""
-    nodes = [estimate_node(series, i, solver) for i in range(series.n)]
+    groups = _step_groups(series)
+    nodes = [_estimate_node(series, i, solver, groups) for i in range(series.n)]
     params = EpidemicParams(
         alpha=np.array([v.alpha for v in nodes]),
         beta=np.array([v.beta for v in nodes]),

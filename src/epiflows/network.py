@@ -10,9 +10,13 @@ that appears in every compartment's dynamics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     BalanceViolation,
@@ -78,6 +82,8 @@ class NetworkSchedule:
                 raise ValidationError("all periods must share node ids")
             if not np.array_equal(net.populations, first.populations):
                 raise ValidationError("all periods must share populations")
+        # period ends as the same left-to-right float sums a linear scan makes
+        object.__setattr__(self, "_ends", tuple(accumulate(d for d, _ in self.periods)))
 
     @classmethod
     def static(cls, network: FlowNetwork) -> "NetworkSchedule":
@@ -89,7 +95,7 @@ class NetworkSchedule:
 
     @property
     def total_duration(self) -> float:
-        return sum(d for d, _ in self.periods)
+        return self._ends[-1]
 
     def network_at(self, t: float, clamp: bool = False) -> FlowNetwork:
         """Network in force at time t (period starts are inclusive).
@@ -98,11 +104,9 @@ class NetworkSchedule:
         """
         if t < 0:
             raise ValidationError(f"time {t} is before the schedule start")
-        elapsed = 0.0
-        for duration, net in self.periods:
-            elapsed += duration
-            if t < elapsed:
-                return net
+        k = bisect_right(self._ends, t)
+        if k < len(self.periods):
+            return self.periods[k][1]
         if clamp:
             return self.periods[-1][1]
         raise ValidationError(
@@ -232,23 +236,28 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
 
 def _digraph_strongly_connected(adjacency: np.ndarray) -> bool:
     """adjacency[i, j] truthy means an edge j -> i exists."""
-    n = adjacency.shape[0]
-    if n <= 1:
+    if adjacency.shape[0] <= 1:
         return True
+    count, _ = connected_components(
+        csr_matrix(adjacency), directed=True, connection="strong"
+    )
+    return count == 1
 
-    def reaches_all(adj):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[:, u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
 
-    return reaches_all(adjacency) and reaches_all(adjacency.T)
+def _shortest_paths(hops: np.ndarray, costs: np.ndarray, source: int) -> np.ndarray:
+    """Dijkstra distances from source (inf where unreachable) over the hops
+    u -> v for which hops[u, v] is true; costs holds their nonnegative costs
+    in the row-major order of hops.
+
+    Every hop goes in as an explicit sparse entry: a dense matrix, or a
+    csr_matrix made from one, would drop the zero-cost hops.
+    """
+    size = hops.shape[0]
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(hops.sum(axis=1), out=indptr[1:])
+    heads = np.broadcast_to(np.arange(size), hops.shape)[hops]
+    graph = csr_matrix((costs, heads, indptr), shape=hops.shape)
+    return dijkstra(graph, directed=True, indices=source)
 
 
 def is_strongly_connected(network: FlowNetwork) -> bool:

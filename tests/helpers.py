@@ -1,9 +1,15 @@
 """Shared generators and brute-force oracles for the test suite."""
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
+from hypothesis import settings
 
 from epiflows import EpidemicParams, SystemState, build_network
+
+# property tests draw the same examples on every run
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def random_balanced_network(rng, n, scale=50.0):
@@ -64,6 +70,32 @@ def shortest_paths_by_enumeration(d, source):
 
     walk(source, 0.0, {source})
     return best
+
+
+def shortest_paths_by_heap(d, sources):
+    """Label-setting Dijkstra over edge costs d[i, j] (hop j -> i), from
+    sources given as (node, starting distance) pairs. Heap entries are
+    (distance, node), so equal distances settle in node order."""
+    n = d.shape[0]
+    dist = np.full(n, np.inf)
+    heap = []
+    for node, d0 in sources:
+        if d0 < dist[node]:
+            dist[node] = d0
+            heapq.heappush(heap, (d0, node))
+    finite_cols = [np.nonzero(np.isfinite(d[:, j]))[0] for j in range(n)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if du > dist[u]:
+            continue
+        for v in finite_cols[u]:
+            if v == u:
+                continue
+            dv = du + d[v, u]
+            if dv < dist[v]:
+                dist[v] = dv
+                heapq.heappush(heap, (dv, int(v)))
+    return dist
 
 
 def raw_flow_derivative(state, params, network):

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -275,6 +277,28 @@ class TestConfigFile:
         assert code == 0
         assert read_json(tmp_path / "summary.json")["samples"] == 6
 
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"noise_std": 0.05}))
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert run("simulate", "--demo", "five-node", "--steps", "20",
+                   "--out-dir", str(plain)) == 0
+        assert run("simulate", "--demo", "five-node", "--steps", "20", "--config", str(config),
+                   "--noise", "0", "--out-dir", str(flagged)) == 0
+        assert (flagged / "trajectory.csv").read_bytes() == (plain / "trajectory.csv").read_bytes()
+
+    def test_config_strings_are_type_checked(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"steps": "7"}))
+        assert run("simulate", "--demo", "five-node", "--config", str(config),
+                   "--out-dir", str(tmp_path)) == 0
+        assert read_json(tmp_path / "summary.json")["samples"] == 8
+        config.write_text(json.dumps({"steps": "seven"}))
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--demo", "five-node", "--config", str(config),
+                "--out-dir", str(tmp_path))
+        assert exc.value.code == 2
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"stepz": 25}))
@@ -282,3 +306,16 @@ class TestConfigFile:
                    "--out-dir", str(tmp_path))
         assert code == 2
         assert "unknown keys" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+class TestOutputFiles:
+    def test_mode_follows_umask(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            code = run("simulate", "--demo", "five-node", "--steps", "5", "--gnuplot",
+                       "--out-dir", str(tmp_path))
+        finally:
+            os.umask(previous)
+        assert code == 0
+        for name in ("trajectory.csv", "summary.json", "trajectory.gp"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o640

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epiflows import (
     ArrivalRecord,
@@ -22,8 +25,14 @@ from epiflows.errors import (
     NoOverlap,
     ValidationError,
 )
+from epiflows.demo import synthetic_county_system
 from epiflows.network import NetworkSchedule
-from helpers import random_balanced_network, shortest_paths_by_enumeration
+from helpers import (
+    PROPERTY_SETTINGS,
+    random_balanced_network,
+    shortest_paths_by_enumeration,
+    shortest_paths_by_heap,
+)
 
 
 def chain_network(weights):
@@ -48,6 +57,27 @@ def random_sparse_graph(rng, n, density=0.35):
         [str(i) for i in range(n)], rng.uniform(10.0, 1e3, n), flows,
         balance_tolerance=np.inf,
     )
+
+
+@st.composite
+def graphs_with_sure_hops(draw, max_n=8):
+    """Random flow graphs on at most max_n nodes, some of whose nodes send
+    all their travel along one hop (routing weight 1, so cost 0)."""
+    n = draw(st.integers(2, max_n))
+    edges = draw(arrays(bool, (n, n)))
+    weights = draw(arrays(float, (n, n), elements=st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.0])))
+    sure = draw(arrays(bool, n))
+    sure[0] = True
+    np.fill_diagonal(edges, False)
+    flows = np.where(edges, weights, 0.0)
+    for j in range(n):
+        targets = np.nonzero(edges[:, j])[0]
+        if sure[j] or not len(targets):
+            keep = targets[0] if len(targets) else (j + 1) % n
+            flows[:, j] = 0.0
+            flows[keep, j] = weights[keep, j]
+    pops = draw(arrays(float, n, elements=st.sampled_from([10.0, 30.0, 500.0])))
+    return build_network([str(i) for i in range(n)], pops, flows, balance_tolerance=np.inf)
 
 
 class TestLogDistanceGraph:
@@ -110,6 +140,21 @@ class TestEffectiveDistance:
             want = shortest_paths_by_enumeration(g.d, src)
             assert np.array_equal(got, want)
 
+    @PROPERTY_SETTINGS
+    @given(graphs_with_sure_hops(), st.integers(0, 7))
+    def test_matches_enumeration_with_zero_cost_hops(self, net, source):
+        g = log_distance_graph(net)
+        source %= net.n
+        got = effective_distance_from(g, source)
+        assert np.array_equal(got, shortest_paths_by_enumeration(g.d, source))
+
+    def test_matches_heap_dijkstra_on_dense_gravity_graph(self):
+        net = synthetic_county_system(n=300, seed=5)[0]
+        g = log_distance_graph(net)
+        for source in (0, 137, 299):
+            want = shortest_paths_by_heap(g.d, [(source, 0.0)])
+            assert np.array_equal(effective_distance_from(g, source), want)
+
     def test_path_probability_duality(self):
         rng = np.random.default_rng(29)
         net = random_sparse_graph(rng, 6)
@@ -164,15 +209,16 @@ def _group_graph_oracle(net, members):
     """Edge matrix of the group-modified graph, built independently."""
     n = net.n
     inside = set(members)
+    order = sorted(members)  # the library's summation order, to the last bit
     pops = net.populations
-    total = sum(pops[j] for j in inside)
+    total = pops[order].sum()
     d = np.full((n, n), np.inf)
     for i in range(n):
         for j in range(n):
             if i in inside or i == j:
                 d[i, j] = 0.0
             elif j in inside:
-                w = sum(pops[m] * net.routing[i, m] for m in inside) / total
+                w = sum(pops[m] * net.routing[i, m] for m in order) / total
                 if w > 0:
                     d[i, j] = -np.log(w)
             elif net.routing[i, j] > 0:
@@ -226,9 +272,28 @@ class TestGroupDistance:
             want = np.min(
                 [shortest_paths_by_enumeration(d, m) for m in members], axis=0
             )
-            assert np.allclose(got, want, atol=1e-12, equal_nan=False)
+            assert np.array_equal(got, want)
             for m in members:
                 assert got[m] == 0.0
+
+    @PROPERTY_SETTINGS
+    @given(graphs_with_sure_hops(), st.sets(st.integers(0, 7), min_size=1))
+    def test_matches_enumeration_with_zero_cost_hops(self, net, members):
+        members = frozenset(m % net.n for m in members)
+        got = group_effective_distance(net, InfectedSet(members=members))
+        d = _group_graph_oracle(net, members)
+        want = np.min([shortest_paths_by_enumeration(d, m) for m in members], axis=0)
+        assert np.array_equal(got, want)
+
+    def test_matches_heap_dijkstra_on_dense_gravity_graph(self):
+        net = synthetic_county_system(n=300, seed=5)[0]
+        rng = np.random.default_rng(59)
+        for k in (1, 10):
+            members = frozenset(int(v) for v in rng.choice(300, size=k, replace=False))
+            got = group_effective_distance(net, InfectedSet(members=members))
+            d = _group_graph_oracle(net, members)
+            want = shortest_paths_by_heap(d, [(m, 0.0) for m in members])
+            assert np.array_equal(got, want)
 
     def test_dominated_by_single_member_distances(self):
         rng = np.random.default_rng(53)

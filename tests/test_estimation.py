@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import epiflows
 from epiflows import (
     EpidemicParams,
     ObservationSeries,
@@ -254,3 +259,13 @@ class TestSerialization:
             "node_id", "beta", "sigma", "delta", "alpha",
             "residual", "identifiable", "condition_number",
         }
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only NNLS estimation needs scipy.optimize, the slowest import of the package
+    src = os.path.dirname(os.path.dirname(epiflows.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, epiflows; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

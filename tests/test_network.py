@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epiflows import (
     NetworkSchedule,
@@ -19,7 +22,23 @@ from epiflows.errors import (
     ValidationError,
     WindowLargerThanSchedule,
 )
-from helpers import random_balanced_network, strongly_connected_oracle
+from helpers import PROPERTY_SETTINGS, random_balanced_network, strongly_connected_oracle
+
+
+def edge_network(mask):
+    """Unbalanced network whose only content is its edge pattern."""
+    n = mask.shape[0]
+    return build_network(
+        [str(i) for i in range(n)], np.full(n, 10.0), np.where(mask, 1.0, 0.0),
+        balance_tolerance=np.inf,
+    )
+
+
+@st.composite
+def edge_masks(draw, n):
+    mask = draw(arrays(bool, (n, n)))
+    np.fill_diagonal(mask, False)
+    return mask
 
 
 def two_node(f12=10.0, f21=10.0, pops=(100.0, 100.0)):
@@ -150,6 +169,11 @@ class TestConnectivity:
             )
             assert is_strongly_connected(net) == strongly_connected_oracle(mask)
 
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 9).flatmap(edge_masks))
+    def test_matches_transitive_closure_oracle_property(self, mask):
+        assert is_strongly_connected(edge_network(mask)) == strongly_connected_oracle(mask)
+
 
 def _cycle_half_network(n, start, stop):
     """Edges i -> i+1 for i in [start, stop); unbalanced, used only for edges."""
@@ -201,6 +225,19 @@ class TestKStrong:
                 for t in range(10 - k + 1)
             )
             assert check_k_strong(schedule) == expected
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(edge_masks(6), min_size=1, max_size=5), st.integers(1, 5))
+    def test_matches_union_oracle_property(self, masks, k):
+        k = min(k, len(masks))
+        schedule = NetworkSchedule(
+            periods=tuple((1.0, edge_network(m)) for m in masks), window_bound=k
+        )
+        expected = all(
+            strongly_connected_oracle(np.any(masks[t : t + k], axis=0))
+            for t in range(len(masks) - k + 1)
+        )
+        assert check_k_strong(schedule) == expected
 
     def test_window_larger_than_schedule(self):
         rng = np.random.default_rng(2)
@@ -265,6 +302,29 @@ class TestSchedule:
         with pytest.raises(ValidationError):
             schedule.network_at(5.0)
         assert schedule.network_at(99.0, clamp=True) is b
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 2.5]), min_size=1, max_size=8),
+        st.lists(st.floats(0.0, 12.0), max_size=10),
+    )
+    def test_lookup_matches_linear_scan(self, durations, times):
+        base = random_balanced_network(np.random.default_rng(6), 3)
+        nets = [build_network(base.node_ids, base.populations, base.flows) for _ in durations]
+        schedule = NetworkSchedule(periods=tuple(zip(durations, nets)))
+        ends, elapsed = [], 0.0
+        for duration in durations:
+            elapsed += duration
+            ends.append(elapsed)
+        # period ends themselves, and the floats next to them, are the edge cases
+        for t in times + ends + [float(np.nextafter(e, 0.0)) for e in ends]:
+            k = next((i for i, end in enumerate(ends) if t < end), None)
+            if k is None:
+                with pytest.raises(ValidationError):
+                    schedule.network_at(t)
+                assert schedule.network_at(t, clamp=True) is nets[-1]
+            else:
+                assert schedule.network_at(t) is nets[k]
 
     def test_mismatched_periods_rejected(self):
         rng = np.random.default_rng(4)
