@@ -54,6 +54,7 @@ from .ingest import (
 from .network import (
     NetworkSchedule,
     is_strongly_connected,
+    _worst_imbalance,
 )
 from .stability import (
     classify_healthy,
@@ -372,13 +373,8 @@ def cmd_validate_data(args) -> int:
 
     if args.flows:
         schedule = load_flows(args.flows, node_ids, populations, args.aggregation_days)
-        worst = 0.0
-        for _, net in schedule.periods:
-            out = net.flows.sum(axis=0)
-            gap = np.abs(out - net.flows.sum(axis=1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rel = np.where(out > 0, gap / out, 0.0)
-            worst = max(worst, float(rel.max(initial=0.0)))
+        stack = np.stack([net.flows for _, net in schedule.periods])
+        worst = float(_worst_imbalance(stack).max())
         record("flows_balance", worst < 1e-9, f"worst relative imbalance {worst:.3e}")
         connected = all(is_strongly_connected(net) for _, net in schedule.periods)
         record("flows_connectivity", connected,
@@ -450,8 +446,16 @@ def _add_system_inputs(parser: argparse.ArgumentParser, with_params: bool = True
                             help="rates CSV (node_id,beta,sigma,delta,alpha)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as ValidationError, so it exits 2 with
+    the JSON error object instead of usage text."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epiflows",
         description="Networked SEIRS epidemics driven by travel flows",
     )
@@ -524,9 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse argv, with the --config file's values as the command's defaults.
 
-    The config becomes defaults of the chosen subparser before a second parse,
-    so every flag given on the command line wins, abbreviated or not, and
-    string values pass through the flags' type conversions.
+    Each value goes in as a flag placed before the command line's own, so
+    argparse checks it against the flag's type and choices and every flag
+    given on the command line wins, abbreviated or not. Values that are not
+    strings go in as their JSON text, so 2.5 fails an int flag; null leaves
+    a flag unset, and on/off flags take true or false.
     """
     args = parser.parse_args(argv)
     if not args.config:
@@ -540,14 +546,24 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValidationError("config must be a JSON object")
-    options = set(vars(args)) - {"command", "func"}
-    defaults = {k.replace("-", "_"): v for k, v in overrides.items()}
-    unknown = sorted(k for k in overrides if k.replace("-", "_") not in options)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in subparsers.choices[args.command]._actions if a.dest != "help"}
+    unknown = sorted(k for k in overrides if k.replace("-", "_") not in flags)
     if unknown:
         raise ValidationError(f"config has unknown keys: {unknown}")
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    subparsers.choices[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+    tokens = []
+    for key, value in overrides.items():
+        action = flags[key.replace("-", "_")]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValidationError(f"config value {value!r} for {key!r} must be true or false")
+            if value:
+                tokens.append(action.option_strings[0])
+        elif value is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            tokens.append(f"{action.option_strings[0]}={text}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _fail(exc: Exception, code: int) -> int:

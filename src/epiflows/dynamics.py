@@ -8,11 +8,14 @@ the integrators run on a precomputed 4n x 4n matrix plus that one product.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
+from ._csvio import indices, numbers, read_columns
 from .errors import (
     DimensionMismatch,
     InvalidState,
@@ -343,43 +346,46 @@ def simulate_discrete(
     return Trajectory(times=times, data=observed, schedule=schedule)
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it as one cell of a row of several."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
-    """CSV with columns time, node_id, s, e, x, r (one row per node and time)."""
-    node_ids = trajectory.schedule.node_ids
+    """CSV with columns time, node_id, s, e, x, r (one row per node and time).
+
+    The bytes are those of csv.writer with a repr of every number (repr
+    never needs quoting), built column-wise.
+    """
+    node_ids = [_csv_cell(nid) for nid in trajectory.schedule.node_ids]
+    data = np.asarray(trajectory.data, dtype=float)
+    times = map(repr, np.asarray(trajectory.times, dtype=float).tolist())
+    columns = [chain.from_iterable(repeat(t, len(node_ids)) for t in times), node_ids * len(data)]
+    columns += [map(repr, data[:, c, :].ravel().tolist()) for c in range(4)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "node_id", "s", "e", "x", "r"])
-        for k, t in enumerate(trajectory.times):
-            m = trajectory.data[k]
-            for i, node in enumerate(node_ids):
-                writer.writerow(
-                    [repr(float(t)), node] + [repr(float(m[c, i])) for c in range(4)]
-                )
+        fh.write("time,node_id,s,e,x,r\r\n")
+        fh.writelines(map("{},{},{},{},{},{}\r\n".format, *columns))
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Inverse of write_trajectory_csv: (times, node_ids, data (T, 4, n))."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"time", "node_id", "s", "e", "x", "r"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(f"trajectory CSV needs columns {sorted(required)}")
-        for row in reader:
-            rows.append(row)
-    if not rows:
+    """Inverse of write_trajectory_csv: (times, node_ids, data (T, 4, n)).
+
+    Raises ParseError naming ``path:line`` for a cell that is not a number.
+    """
+    names = ("time", "node_id", "s", "e", "x", "r")
+    time_cells, node_cells, *value_cells = read_columns(
+        path, names, ValidationError(f"trajectory CSV needs columns {sorted(names)}")
+    )
+    if not node_cells:
         raise ValidationError("trajectory CSV is empty")
-    node_ids = tuple(dict.fromkeys(row["node_id"] for row in rows))
-    times = sorted({float(row["time"]) for row in rows})
-    index = {(t, nid): None for t in times for nid in node_ids}
+    stamps, *values = numbers(path, [time_cells, *value_cells], ("time", "s", "e", "x", "r"))
+    node_ids = tuple(dict.fromkeys(node_cells))
+    node = indices(node_cells, {nid: i for i, nid in enumerate(node_ids)})
+    times, slot = np.unique(stamps, return_inverse=True)
     data = np.full((len(times), 4, len(node_ids)), np.nan)
-    t_pos = {t: k for k, t in enumerate(times)}
-    n_pos = {nid: i for i, nid in enumerate(node_ids)}
-    for row in rows:
-        k, i = t_pos[float(row["time"])], n_pos[row["node_id"]]
-        for c, name in enumerate(("s", "e", "x", "r")):
-            data[k, c, i] = float(row[name])
-        index.pop((float(row["time"]), row["node_id"]), None)
-    if index or math.isnan(data.min()):
+    data[slot, :, node] = np.stack(values, axis=1)
+    if math.isnan(data.min()):  # a NaN cell, or a node/time pair with no row
         raise ValidationError("trajectory CSV is missing node/time rows")
-    return np.array(times), node_ids, data
+    return times, node_ids, data

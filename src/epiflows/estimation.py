@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import numbers, read_columns
 from .dynamics import EpidemicParams, SystemState, Trajectory
 from .errors import DimensionMismatch, ScheduleMismatch, ValidationError
 from .network import FlowNetwork, NetworkSchedule
@@ -283,22 +284,14 @@ def write_estimate_csv(path, estimate: ParameterEstimate) -> None:
 
 def read_params_csv(path) -> tuple[tuple[str, ...], EpidemicParams]:
     """Read per-node rates from a CSV with the write_estimate_csv column layout
-    (extra columns are ignored)."""
-    node_ids, cols = [], {"beta": [], "sigma": [], "delta": [], "alpha": []}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"node_id", *cols}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(f"params CSV needs columns {sorted(required)}")
-        for row in reader:
-            node_ids.append(row["node_id"])
-            for k in cols:
-                cols[k].append(float(row[k]))
+    (extra columns are ignored); ParseError names ``path:line`` of a rate
+    that is not a number."""
+    rates = ("beta", "sigma", "delta", "alpha")
+    node_ids, *cells = read_columns(
+        path, ("node_id", *rates),
+        ValidationError(f"params CSV needs columns {sorted(('node_id', *rates))}"),
+    )
+    beta, sigma, delta, alpha = numbers(path, cells, rates)
     if not node_ids:
         raise ValidationError("params CSV is empty")
-    return tuple(node_ids), EpidemicParams(
-        alpha=np.array(cols["alpha"]),
-        beta=np.array(cols["beta"]),
-        sigma=np.array(cols["sigma"]),
-        delta=np.array(cols["delta"]),
-    )
+    return tuple(node_ids), EpidemicParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta)

@@ -1,6 +1,7 @@
 """File ingestion and SEIRS state inference from cumulative case counts.
 
-CSV schemas (UTF-8, header row, ISO-8601 dates):
+CSV schemas (UTF-8, header row, ISO-8601 dates; files are read column-wise,
+so extra columns and any column order are accepted):
   populations: node_id, population
   flows:       date, from_id, to_id, trips
   cases:       node_id, date, cumulative_cases
@@ -13,12 +14,12 @@ to susceptible.
 """
 from __future__ import annotations
 
-import csv
 import datetime
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvio import decode, indices, raise_first, read_columns, repeated
 from .errors import (
     CasesExceedPopulation,
     EmptySchedule,
@@ -79,42 +80,56 @@ class StateInferenceConfig:
                 raise ValidationError(f"{name} must be a positive integer")
 
 
-def _open_reader(path, required: set[str]):
-    fh = open(path, newline="", encoding="utf-8")
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        fh.close()
-        raise ParseError(f"{path}: expected header with columns {sorted(required)}")
-    return fh, reader
+def _ordinal(text: str) -> int:
+    return datetime.date.fromisoformat(text).toordinal()
+
+
+def _header_error(path, names) -> ParseError:
+    return ParseError(f"{path}: expected header with columns {sorted(names)}")
 
 
 def load_populations(path) -> tuple[tuple[str, ...], np.ndarray]:
-    fh, reader = _open_reader(path, {"node_id", "population"})
-    node_ids: list[str] = []
-    pops: list[float] = []
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            nid = row["node_id"]
-            if nid in node_ids:
-                raise ParseError(f"{path}:{lineno}: duplicate node_id {nid!r}")
-            try:
-                value = float(row["population"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad population {row['population']!r}") from exc
-            if value <= 0:
-                raise NonPositivePopulation(f"{path}:{lineno}: population must be positive")
-            node_ids.append(nid)
-            pops.append(value)
-    if not node_ids:
+    names = ("node_id", "population")
+    ids, cells = read_columns(path, names, _header_error(path, names))
+    pops, bad = decode(cells)
+    raise_first(path, [
+        (repeated(ids), lambda k, where: ParseError(f"{where}: duplicate node_id {ids[k]!r}")),
+        (bad, lambda k, where: ParseError(f"{where}: bad population {cells[k]!r}")),
+        (pops <= 0, lambda k, where: NonPositivePopulation(f"{where}: population must be positive")),
+    ])
+    if not ids:
         raise ParseError(f"{path}: no data rows")
-    return tuple(node_ids), np.array(pops)
+    return tuple(ids), pops
 
 
-def _parse_date(text: str, where: str) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(text)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: bad ISO date {text!r}") from exc
+def _window_sums(path, node_ids, aggregation_days: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trips summed per (window, to, from) cell in file order, self-trips
+    skipped, and the length of each window in days."""
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    names = ("date", "from_id", "to_id", "trips")
+    dates, froms, tos, cells = read_columns(path, names, _header_error(path, names))
+    day, bad_date = decode(dates, _ordinal, np.int64)
+    src, dst = indices(froms, index), indices(tos, index)
+    trips, bad_trips = decode(cells)
+    raise_first(path, [
+        (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {dates[k]!r}")),
+        (src < 0, lambda k, where: UnknownNode(f"{where}: unknown node {froms[k]!r}")),
+        (dst < 0, lambda k, where: UnknownNode(f"{where}: unknown node {tos[k]!r}")),
+        (bad_trips, lambda k, where: ParseError(f"{where}: bad trips value {cells[k]!r}")),
+        (trips < 0, lambda k, where: ParseError(f"{where}: trips must be nonnegative")),
+    ])
+    travel = src != dst
+    if not travel.any():
+        raise EmptySchedule(f"{path}: no usable flow rows")
+    day, src, dst, trips = day[travel], src[travel], dst[travel], trips[travel]
+    first, last = day.min(), day.max()
+    n, n_windows = len(node_ids), (last - first) // aggregation_days + 1
+    window = (day - first) // aggregation_days
+    # bincount adds each cell's trips in file order, as a row loop would
+    sums = np.bincount((window * n + dst) * n + src, weights=trips,
+                       minlength=n_windows * n * n).reshape(n_windows, n, n)
+    spans = np.minimum(aggregation_days, last - first + 1 - aggregation_days * np.arange(n_windows))
+    return sums, spans
 
 
 def load_flows(
@@ -127,81 +142,49 @@ def load_flows(
 
     Trips are summed over consecutive windows of ``aggregation_days`` and
     divided by the window length to yield daily flows, which are then
-    scale-balanced before network construction. Rows with from_id == to_id
-    (intra-node trips) do not enter the model and are skipped.
+    scale-balanced (all windows in one call) before network construction.
+    Rows with from_id == to_id (intra-node trips) do not enter the model and
+    are skipped.
     """
     if aggregation_days < 1:
         raise ValidationError("aggregation_days must be >= 1")
     node_ids = tuple(node_ids)
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    fh, reader = _open_reader(path, {"date", "from_id", "to_id", "trips"})
-    entries: list[tuple[datetime.date, int, int, float]] = []
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            date = _parse_date(row["date"], where)
-            for key in ("from_id", "to_id"):
-                if row[key] not in index:
-                    raise UnknownNode(f"{where}: unknown node {row[key]!r}")
-            try:
-                trips = float(row["trips"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{where}: bad trips value {row['trips']!r}") from exc
-            if trips < 0:
-                raise ParseError(f"{where}: trips must be nonnegative")
-            src, dst = index[row["from_id"]], index[row["to_id"]]
-            if src == dst:
-                continue
-            entries.append((date, src, dst, trips))
-    if not entries:
-        raise EmptySchedule(f"{path}: no usable flow rows")
-
-    n = len(node_ids)
-    first = min(e[0] for e in entries)
-    last = max(e[0] for e in entries)
-    n_windows = ((last - first).days // aggregation_days) + 1
-    sums = np.zeros((n_windows, n, n))
-    for date, src, dst, trips in entries:
-        w = (date - first).days // aggregation_days
-        sums[w, dst, src] += trips
-
-    periods = []
-    total_days = (last - first).days + 1
-    for w in range(n_windows):
-        span = min(aggregation_days, total_days - w * aggregation_days)
-        daily = sums[w] / span
-        balanced = balance_flows(daily, method="scale")
-        periods.append((float(span), build_network(node_ids, populations, balanced)))
-    return NetworkSchedule(periods=tuple(periods))
+    sums, spans = _window_sums(path, node_ids, aggregation_days)
+    balanced = balance_flows(sums / spans[:, None, None], method="scale")
+    return NetworkSchedule(periods=tuple(
+        (float(span), build_network(node_ids, populations, flows))
+        for span, flows in zip(spans, balanced)
+    ))
 
 
 def load_cases(path) -> CaseSeries:
-    fh, reader = _open_reader(path, {"node_id", "date", "cumulative_cases"})
-    per_node: dict[str, dict[datetime.date, float]] = {}
-    with fh:
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            date = _parse_date(row["date"], where)
-            try:
-                count = float(row["cumulative_cases"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{where}: bad case count {row['cumulative_cases']!r}") from exc
-            node = per_node.setdefault(row["node_id"], {})
-            if date in node:
-                raise ParseError(f"{where}: duplicate entry for {row['node_id']!r} on {date}")
-            node[date] = count
-    if not per_node:
+    names = ("node_id", "date", "cumulative_cases")
+    ids, dates, cells = read_columns(path, names, _header_error(path, names))
+    day, bad_date = decode(dates, _ordinal, np.int64)
+    counts, bad_count = decode(cells)
+    raise_first(path, [
+        (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {dates[k]!r}")),
+        (bad_count, lambda k, where: ParseError(f"{where}: bad case count {cells[k]!r}")),
+        (repeated(list(zip(ids, day.tolist()))), lambda k, where: ParseError(
+            f"{where}: duplicate entry for {ids[k]!r} on "
+            f"{datetime.date.fromordinal(int(day[k]))}")),
+    ])
+    if not ids:
         raise ParseError(f"{path}: no data rows")
-    node_ids = tuple(per_node)
-    all_dates = sorted({d for series in per_node.values() for d in series})
-    data = np.zeros((len(all_dates), len(node_ids)))
-    for i, nid in enumerate(node_ids):
-        series = per_node[nid]
-        for k, d in enumerate(all_dates):
-            if d not in series:
-                raise ParseError(f"{path}: node {nid!r} is missing {d}")
-            data[k, i] = series[d]
-    return CaseSeries(node_ids=node_ids, dates=tuple(all_dates), cumulative=data)
+    node_ids = tuple(dict.fromkeys(ids))
+    node = indices(ids, {nid: i for i, nid in enumerate(node_ids)})
+    days, slot = np.unique(day, return_inverse=True)
+    present = np.zeros((len(node_ids), len(days)), dtype=bool)
+    present[node, slot] = True
+    if not present.all():
+        i, k = np.unravel_index(np.argmin(present), present.shape)
+        raise ParseError(
+            f"{path}: node {node_ids[i]!r} is missing {datetime.date.fromordinal(int(days[k]))}"
+        )
+    data = np.zeros((len(days), len(node_ids)))
+    data[slot, node] = counts
+    dates = tuple(datetime.date.fromordinal(int(d)) for d in days)
+    return CaseSeries(node_ids=node_ids, dates=dates, cumulative=data)
 
 
 def infer_states(

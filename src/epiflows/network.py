@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     BalanceViolation,
@@ -181,53 +179,84 @@ def build_network(
 
 
 def balance_flows(flows, method: str = "scale") -> np.ndarray:
-    """Return flows satisfying per-node balance exactly.
+    """Return flows, one (n, n) matrix or a (P, n, n) stack, each satisfying
+    per-node balance to rounding.
 
     ``symmetrize`` averages F with its transpose. ``scale`` rescales by a
-    diagonal similarity (Osborne-style sweeps) until the worst relative
-    imbalance drops below 1e-10; already-balanced input is returned unchanged.
+    diagonal similarity D^-1 F D with Osborne's Gauss-Seidel node sweeps
+    (Osborne 1960; Parlett and Reinsch 1969), all matrices of a stack at
+    once. The worst relative imbalance must drop below 1e-10 within
+    ``SCALE_MAX_ITERATIONS`` sweeps; sweeping then goes on while it still
+    falls, so input already at the rounding floor comes back unchanged.
     """
     flows = np.asarray(flows, dtype=float)
-    if flows.ndim != 2 or flows.shape[0] != flows.shape[1]:
+    if flows.ndim not in (2, 3) or flows.shape[-1] != flows.shape[-2]:
         raise DimensionMismatch(f"flows must be square, got {flows.shape}")
     if np.any(flows < 0):
         raise NegativeEntry("flows must be nonnegative")
-    if np.any(np.diag(flows) != 0):
+    if np.any(np.diagonal(flows, axis1=-2, axis2=-1) != 0):
         raise ValidationError("flows must have a zero diagonal")
 
     if method == "symmetrize":
-        return 0.5 * (flows + flows.T)
+        return 0.5 * (flows + np.swapaxes(flows, -1, -2))
     if method != "scale":
         raise ValidationError(f"unknown balance method {method!r}")
 
+    stack = flows.reshape(-1, *flows.shape[-2:])
     # similarity scaling preserves the zero pattern, so a node with outflow
     # but no inflow (or vice versa) can never be balanced
-    has_out = flows.sum(axis=0) > 0
-    has_in = flows.sum(axis=1) > 0
+    has_out = stack.sum(axis=1) > 0
+    has_in = stack.sum(axis=2) > 0
     if np.any(has_out != has_in):
-        bad = int(np.argmax(has_out != has_in))
+        window, bad = np.argwhere(has_out != has_in)[0]
         raise NoConvergence(
-            f"node index {bad} has {'outflow' if has_out[bad] else 'inflow'} "
+            f"node index {bad} has {'outflow' if has_out[window, bad] else 'inflow'} "
             "only; scale balancing cannot converge"
         )
+    return _osborne(stack).reshape(flows.shape)
 
-    n = flows.shape[0]
-    d = np.ones(n)
+
+def _worst_imbalance(stack: np.ndarray) -> np.ndarray:
+    """Largest relative imbalance |outflow - inflow| / outflow per matrix."""
+    out = stack.sum(axis=-2)
+    inn = stack.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(out > 0, np.abs(out - inn) / out, 0.0)
+    return rel.max(axis=-1, initial=0.0)
+
+
+def _osborne(stack: np.ndarray) -> np.ndarray:
+    """D^-1 F D for each matrix F of the stack, with the Gauss-Seidel sweeps
+    of :func:`balance_flows` and the scaling D where its worst imbalance was
+    lowest once below SCALE_BALANCE_TOL."""
+    d = np.ones(stack.shape[:2])
+    lowest = np.full(len(d), np.inf)
+    balanced = np.empty_like(stack)
+    # a node without flows gets d = sqrt((0 + 1) / (0 + 1)); the others add 0
+    isolated = (stack.sum(axis=1) == 0).astype(float)
+    cols = np.ascontiguousarray(stack.transpose(0, 2, 1))  # cols[p, j] is column j
+    todo = np.arange(len(d))
     for _ in range(SCALE_MAX_ITERATIONS):
-        scaled = (1.0 / d)[:, None] * flows * d[None, :]
-        out = scaled.sum(axis=0)
-        inn = scaled.sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(out > 0, np.abs(out - inn) / out, 0.0)
-        if rel.max(initial=0.0) < SCALE_BALANCE_TOL:
-            return scaled
-        inv_d = 1.0 / d
-        for j in range(n):
-            row = flows[j, :] @ d
-            col = flows[:, j] @ inv_d
-            if row > 0 and col > 0:
-                d[j] = math.sqrt(row / col)
-                inv_d[j] = 1.0 / d[j]
+        scaled = (1.0 / d[todo])[:, :, None] * stack[todo] * d[todo][:, None, :]
+        rel = _worst_imbalance(scaled)
+        better = (rel < SCALE_BALANCE_TOL) & (rel < lowest[todo])
+        lowest[todo[better]] = rel[better]
+        balanced[todo[better]] = scaled[better]
+        todo = todo[better | (lowest[todo] == np.inf)]  # done once it stops falling
+        if not len(todo):
+            return balanced
+        # rows and columns as (1, n) matrices against d and 1/d as (n, 1)
+        rows, columns = stack[todo][:, :, None, :], cols[todo][:, :, None, :]
+        dd, skip = d[todo], isolated[todo]
+        inv_d = 1.0 / dd
+        for j in range(dd.shape[1]):
+            inflow = np.matmul(rows[:, j], dd[:, :, None])[:, 0, 0] + skip[:, j]
+            outflow = np.matmul(columns[:, j], inv_d[:, :, None])[:, 0, 0] + skip[:, j]
+            dd[:, j] = np.sqrt(inflow / outflow)
+            inv_d[:, j] = 1.0 / dd[:, j]
+        d[todo] = dd
+    if np.all(lowest < np.inf):
+        return balanced
     raise NoConvergence(
         f"scale balancing did not reach {SCALE_BALANCE_TOL:.0e} within "
         f"{SCALE_MAX_ITERATIONS} sweeps"
@@ -238,6 +267,10 @@ def _digraph_strongly_connected(adjacency: np.ndarray) -> bool:
     """adjacency[i, j] truthy means an edge j -> i exists."""
     if adjacency.shape[0] <= 1:
         return True
+    # scipy.sparse loads here, so commands that build no graph skip its import
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     count, _ = connected_components(
         csr_matrix(adjacency), directed=True, connection="strong"
     )
@@ -252,6 +285,9 @@ def _shortest_paths(hops: np.ndarray, costs: np.ndarray, source: int) -> np.ndar
     Every hop goes in as an explicit sparse entry: a dense matrix, or a
     csr_matrix made from one, would drop the zero-cost hops.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     size = hops.shape[0]
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(hops.sum(axis=1), out=indptr[1:])

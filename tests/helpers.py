@@ -1,12 +1,17 @@
 """Shared generators and brute-force oracles for the test suite."""
 from __future__ import annotations
 
+import csv
+import datetime
 import heapq
+import math
 
 import numpy as np
 from hypothesis import settings
 
-from epiflows import EpidemicParams, SystemState, build_network
+from epiflows import EpidemicParams, SystemState, balance_flows, build_network
+from epiflows.errors import EmptySchedule, ParseError, UnknownNode, ValidationError
+from epiflows.network import NetworkSchedule
 
 # property tests draw the same examples on every run
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -131,3 +136,115 @@ def random_irreducible_nonneg(rng, n, density=0.4):
     for j in range(n):
         m[(j + 1) % n, j] = rng.uniform(0.5, 2.0)
     return m
+
+
+def window_sums_by_rows(path, node_ids, aggregation_days=7):
+    """Flow-file window sums by the csv.DictReader row loop the column
+    reader replaced: (sums (P, n, n), spans (P,)), with its errors and
+    ``path:line`` messages."""
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        required = {"date", "from_id", "to_id", "trips"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ParseError(f"{path}: expected header with columns {sorted(required)}")
+        entries = []
+        for lineno, row in enumerate(reader, start=2):
+            where = f"{path}:{lineno}"
+            try:
+                date = datetime.date.fromisoformat(row["date"])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{where}: bad ISO date {row['date']!r}") from exc
+            for key in ("from_id", "to_id"):
+                if row[key] not in index:
+                    raise UnknownNode(f"{where}: unknown node {row[key]!r}")
+            try:
+                trips = float(row["trips"])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{where}: bad trips value {row['trips']!r}") from exc
+            if trips < 0:
+                raise ParseError(f"{where}: trips must be nonnegative")
+            src, dst = index[row["from_id"]], index[row["to_id"]]
+            if src != dst:
+                entries.append((date, src, dst, trips))
+    if not entries:
+        raise EmptySchedule(f"{path}: no usable flow rows")
+    n = len(node_ids)
+    first = min(e[0] for e in entries)
+    last = max(e[0] for e in entries)
+    n_windows = ((last - first).days // aggregation_days) + 1
+    sums = np.zeros((n_windows, n, n))
+    for date, src, dst, trips in entries:
+        sums[(date - first).days // aggregation_days, dst, src] += trips
+    total_days = (last - first).days + 1
+    spans = np.array([min(aggregation_days, total_days - w * aggregation_days)
+                      for w in range(n_windows)])
+    return sums, spans
+
+
+def load_flows_by_rows(path, node_ids, populations, aggregation_days=7):
+    """load_flows on the row-loop window sums."""
+    sums, spans = window_sums_by_rows(path, node_ids, aggregation_days)
+    balanced = balance_flows(sums / spans[:, None, None], method="scale")
+    return NetworkSchedule(periods=tuple(
+        (float(span), build_network(node_ids, populations, flows))
+        for span, flows in zip(spans, balanced)
+    ))
+
+
+def write_trajectory_by_rows(path, trajectory):
+    """The csv.writer row loop write_trajectory_csv replaced."""
+    node_ids = trajectory.schedule.node_ids
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "node_id", "s", "e", "x", "r"])
+        for k, t in enumerate(trajectory.times):
+            m = trajectory.data[k]
+            for i, node in enumerate(node_ids):
+                writer.writerow(
+                    [repr(float(t)), node] + [repr(float(m[c, i])) for c in range(4)]
+                )
+
+
+def read_trajectory_by_rows(path):
+    """The csv.DictReader reader read_trajectory_csv replaced."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = {"time", "node_id", "s", "e", "x", "r"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValidationError(f"trajectory CSV needs columns {sorted(required)}")
+        for row in reader:
+            rows.append(row)
+    if not rows:
+        raise ValidationError("trajectory CSV is empty")
+    node_ids = tuple(dict.fromkeys(row["node_id"] for row in rows))
+    times = sorted({float(row["time"]) for row in rows})
+    index = {(t, nid): None for t in times for nid in node_ids}
+    data = np.full((len(times), 4, len(node_ids)), np.nan)
+    t_pos = {t: k for k, t in enumerate(times)}
+    n_pos = {nid: i for i, nid in enumerate(node_ids)}
+    for row in rows:
+        k, i = t_pos[float(row["time"])], n_pos[row["node_id"]]
+        for c, name in enumerate(("s", "e", "x", "r")):
+            data[k, c, i] = float(row[name])
+        index.pop((float(row["time"]), row["node_id"]), None)
+    if index or math.isnan(data.min()):
+        raise ValidationError("trajectory CSV is missing node/time rows")
+    return np.array(times), node_ids, data
+
+
+def write_gravity_trips(path, network, seed, days=7, start="2021-01-04"):
+    """Daily trip counts drawn Poisson around a network's flows, zero counts
+    left out, as a flows CSV; the raw weekly sums are not balanced."""
+    rng = np.random.default_rng(seed)
+    ids = network.node_ids
+    dst, src = np.nonzero(network.flows)
+    first = datetime.date.fromisoformat(start)
+    with open(path, "w") as fh:
+        fh.write("date,from_id,to_id,trips\n")
+        for k in range(days):
+            day = (first + datetime.timedelta(days=k)).isoformat()
+            counts = rng.poisson(network.flows[dst, src])
+            fh.writelines(f"{day},{ids[src[j]]},{ids[dst[j]]},{counts[j]}\n"
+                          for j in np.nonzero(counts)[0])

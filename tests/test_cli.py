@@ -287,17 +287,43 @@ class TestConfigFile:
                    "--noise", "0", "--out-dir", str(flagged)) == 0
         assert (flagged / "trajectory.csv").read_bytes() == (plain / "trajectory.csv").read_bytes()
 
-    def test_config_strings_are_type_checked(self, tmp_path):
+    def test_config_strings_are_type_checked(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"steps": "7"}))
         assert run("simulate", "--demo", "five-node", "--config", str(config),
                    "--out-dir", str(tmp_path)) == 0
         assert read_json(tmp_path / "summary.json")["samples"] == 8
+        capsys.readouterr()
         config.write_text(json.dumps({"steps": "seven"}))
-        with pytest.raises(SystemExit) as exc:
-            run("simulate", "--demo", "five-node", "--config", str(config),
-                "--out-dir", str(tmp_path))
-        assert exc.value.code == 2
+        assert run("simulate", "--demo", "five-node", "--config", str(config),
+                   "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+        assert "usage" not in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"steps": 2.5}, {"steps": True}, {"steps": [3]}, {"steps": "2.5"},
+        {"noise_std": "abc"}, {"mode": "sideways"}, {"gnuplot": "yes"},
+    ])
+    def test_config_value_invalid_for_its_flag_exits_2(self, tmp_path, capsys, overrides):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(overrides))
+        code = run("simulate", "--demo", "five-node", "--config", str(config),
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValidationError"
+        assert next(iter(overrides)).replace("_", "-") in error["message"]
+        assert "usage" not in captured.err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_config_null_keeps_an_optional_flag_unset(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"perturb_scale": None, "endemic": False}))
+        assert run("stability", "--demo", "five-node", "--config", str(config),
+                   "--out-dir", str(tmp_path)) == 0
+        assert "perturbation" not in read_json(tmp_path / "stability.json")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -306,6 +332,21 @@ class TestConfigFile:
                    "--out-dir", str(tmp_path))
         assert code == 2
         assert "unknown keys" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--demo", "five-node", "--stepz", "3"],
+        ["simulate", "--demo", "five-node", "--steps", "2.5"],
+        ["simulate", "--mode", "sideways"],
+        ["nonsense"],
+        [],
+    ])
+    def test_bad_command_line_exits_2_with_json(self, capsys, argv):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        assert "error" in json.loads(captured.err)
+        assert "usage" not in captured.err + captured.out
 
 
 class TestOutputFiles:

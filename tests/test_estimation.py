@@ -269,3 +269,13 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # only graph algorithms need scipy.sparse; loading trips or simulating does not
+    src = os.path.dirname(os.path.dirname(epiflows.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, epiflows, epiflows.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

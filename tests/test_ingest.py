@@ -10,7 +10,9 @@ from epiflows import (
     load_cases,
     load_flows,
     load_populations,
+    simulate_discrete,
 )
+from epiflows.demo import seeded_initial_state, synthetic_county_system
 from epiflows.errors import (
     CasesExceedPopulation,
     EmptySchedule,
@@ -20,6 +22,8 @@ from epiflows.errors import (
     UnknownNode,
     ValidationError,
 )
+
+from helpers import write_gravity_trips
 
 
 def write(path, text):
@@ -47,6 +51,17 @@ class TestLoadPopulations:
     def test_duplicate_node(self, tmp_path):
         p = write(tmp_path / "pop.csv", "node_id,population\na,10\na,20\n")
         with pytest.raises(ParseError):
+            load_populations(p)
+
+    def test_duplicate_reported_at_second_line(self, tmp_path):
+        p = write(tmp_path / "pop.csv", "node_id,population\na,10\nb,-1\na,20\n")
+        with pytest.raises(NonPositivePopulation, match=r"pop\.csv:3: population must be positive"):
+            load_populations(p)
+        p = write(tmp_path / "pop.csv", "node_id,population\na,10\nb,x\nb,20\n")
+        with pytest.raises(ParseError, match=r"pop\.csv:3: bad population 'x'"):
+            load_populations(p)
+        p = write(tmp_path / "pop.csv", "node_id,population\na,10\nb,1\na,x\n")
+        with pytest.raises(ParseError, match=r"pop\.csv:4: duplicate node_id 'a'"):
             load_populations(p)
 
     def test_missing_header(self, tmp_path):
@@ -102,6 +117,12 @@ class TestLoadFlows:
         with pytest.raises(UnknownNode):
             load_flows(p, ("a", "b"), np.array([10.0, 10.0]))
 
+    def test_unknown_from_id_reported_before_to_id(self, tmp_path):
+        p = write(tmp_path / "flows.csv",
+                  "date,from_id,to_id,trips\n2020-03-01,a,b,5\n2020-03-01,yyy,zzz,5\n")
+        with pytest.raises(UnknownNode, match=r"flows\.csv:3: unknown node 'yyy'"):
+            load_flows(p, ("a", "b"), np.array([10.0, 10.0]))
+
     def test_unbalanceable_flows_fail_loudly(self, tmp_path):
         p = write(tmp_path / "flows.csv",
                   "date,from_id,to_id,trips\n2020-03-01,a,b,5\n")
@@ -118,6 +139,34 @@ class TestLoadFlows:
         assert [d for d, _ in schedule.periods] == [7.0, 3.0]
         for _, net in schedule.periods:
             assert net.flows[1, 0] == pytest.approx(70.0)
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_seeded_county_survives_first_euler_step(self, tmp_path, seed):
+        # balancing that stopped at a relative imbalance of 1e-10 left a
+        # healthy node's s at 1 + 2e-12 after one step
+        network, params, origin = synthetic_county_system(87, seed)
+        write_gravity_trips(tmp_path / "trips.csv", network, seed)
+        schedule = load_flows(tmp_path / "trips.csv", network.node_ids, network.populations)
+        trajectory = simulate_discrete(seeded_initial_state(87, origin), params, schedule, steps=2)
+        assert trajectory.data[1].max() <= 1.0
+
+    def test_later_bad_row_reported_at_its_line(self, tmp_path):
+        rows = ["date,from_id,to_id,trips",
+                "2020-03-01,a,b,5",
+                "2020-03-01,b,a,-1",
+                "not-a-date,b,a,5"]
+        p = write(tmp_path / "flows.csv", "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=r"flows\.csv:3: trips must be nonnegative"):
+            load_flows(p, ("a", "b"), np.array([10.0, 10.0]))
+
+    def test_columns_found_by_name(self, tmp_path):
+        rows = ["trips,note,to_id,date,from_id",
+                '5,"x, y",b,2020-03-01,a',
+                "5,,a,2020-03-01,b"]
+        p = write(tmp_path / "flows.csv", "\r\n".join(rows) + "\r\n")
+        schedule = load_flows(p, ("a", "b"), np.array([50.0, 50.0]), aggregation_days=1)
+        assert schedule.periods[0][1].flows[1, 0] == 5.0
 
 
 class TestCaseSeries:
@@ -145,6 +194,20 @@ class TestCaseSeries:
         cases = load_cases(p)
         assert cases.node_ids == ("a", "b")
         assert np.array_equal(cases.cumulative[:, 1], [0.0, 2.0, 4.0, 6.0])
+
+    def test_duplicate_entry_reported_at_its_line(self, tmp_path):
+        rows = ["node_id,date,cumulative_cases",
+                "a,2020-03-01,1", "a,2020-03-02,2", "a,2020-03-01,3"]
+        p = write(tmp_path / "cases.csv", "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=r"cases\.csv:4: duplicate entry for 'a' on 2020-03-01"):
+            load_cases(p)
+
+    def test_missing_day_named(self, tmp_path):
+        rows = ["node_id,date,cumulative_cases",
+                "a,2020-03-01,1", "b,2020-03-02,2", "a,2020-03-02,3"]
+        p = write(tmp_path / "cases.csv", "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=r"node 'b' is missing 2020-03-01"):
+            load_cases(p)
 
     def test_increments_include_day_zero(self):
         series = CaseSeries(

@@ -135,6 +135,39 @@ class TestBalanceFlows:
             build_network([str(i) for i in range(5)], np.full(5, 1e4), out,
                           balance_tolerance=1e-9)
 
+    def test_stack_balances_each_matrix_as_alone(self):
+        rng = np.random.default_rng(5)
+        stack = rng.uniform(0.0, 5.0, (4, 6, 6))
+        for f in stack:
+            np.fill_diagonal(f, 0.0)
+        stack[2, 3, :] = stack[2, :, 3] = 0.0  # a node without flows in one matrix
+        out = balance_flows(stack, "scale")
+        assert out.shape == stack.shape
+        for f, o in zip(stack, out):
+            # the same sweeps on one matrix; BLAS may sum in another order
+            assert np.allclose(balance_flows(f, "scale"), o, rtol=1e-13, atol=0)
+        assert np.array_equal(out[2, 3], np.zeros(6))
+
+    def test_scale_runs_to_the_rounding_floor(self):
+        rng = np.random.default_rng(3)
+        stack = rng.uniform(0.0, 5.0, (3, 30, 30)) * (rng.random((3, 30, 30)) < 0.3)
+        for f in stack:
+            np.fill_diagonal(f, 0.0)
+            f[np.arange(1, 31) % 30, np.arange(30)] += 1.0  # a spanning cycle
+        for o in balance_flows(stack, "scale"):
+            colsum, rowsum = o.sum(axis=0), o.sum(axis=1)
+            assert np.abs(colsum - rowsum).max() < 1e-14 * colsum.max()
+
+    def test_two_node_cycle_balances(self):
+        # a simultaneous (Jacobi) update swaps the two flows on every sweep
+        out = balance_flows(np.array([[[0.0, 1.0], [4.0, 0.0]]] * 2), "scale")
+        assert np.allclose(out, [[[0.0, 2.0], [2.0, 0.0]]] * 2, rtol=1e-15, atol=0)
+
+    def test_stacked_symmetrize(self):
+        stack = np.array([[[0.0, 4.0], [2.0, 0.0]], [[0.0, 1.0], [3.0, 0.0]]])
+        assert np.array_equal(balance_flows(stack, "symmetrize"),
+                              [[[0.0, 3.0], [3.0, 0.0]], [[0.0, 2.0], [2.0, 0.0]]])
+
     def test_scale_detects_unbalanceable(self):
         with pytest.raises(NoConvergence):
             balance_flows([[0.0, 4.0], [0.0, 0.0]], "scale")
