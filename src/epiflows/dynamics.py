@@ -1,9 +1,12 @@
 """Networked SEIRS-with-flows dynamics: continuous (RK4) and discrete (Euler).
 
 States are per-node fractions (s, e, x, r) that stay on the unit simplex as
-long as the network's flows are balanced. The infection term beta_i x_i s_i
-is the only nonlinearity; everything else is linear in the stacked state, so
-the integrators run on a precomputed 4n x 4n matrix plus that one product.
+long as the network's flows are balanced. Every compartment travels through
+the same coupling matrix Phi; the other terms are per-node rates around the
+cycle s -> e -> x -> r -> s, of which the infection rate beta_i x_i is the
+only nonlinearity. So the rates of the (4, n) state Z are
+dZ = Z (Phi - diag(gamma))^T + C (R * Z): one n x n product per evaluation,
+and O(n^2) memory.
 """
 from __future__ import annotations
 
@@ -150,51 +153,37 @@ def derivative(
     For balanced flows the four components sum to zero at every node.
     """
     _check_dims(state, params, network)
-    s, e, x, r = state.s, state.e, state.x, state.r
-    gamma, phi = network.gamma, network.coupling
-    infection = params.beta * x * s
-    ds = params.alpha * r - infection - gamma * s + phi @ s
-    de = infection - (params.sigma + gamma) * e + phi @ e
-    dx = params.sigma * e - (params.delta + gamma) * x + phi @ x
-    dr = params.delta * x - (params.alpha + gamma) * r + phi @ r
+    ds, de, dx, dr = _Kernel(params, network)(state.as_matrix())
     return ds, de, dx, dr
 
 
-class _Kernel:
-    """Flattened-state evaluator: dz = L z + infection correction.
+# C: each compartment's exit flux enters the next one of s -> e -> x -> r -> s
+_CYCLE = np.array(
+    [[-1.0, 0.0, 0.0, 1.0], [1.0, -1.0, 0.0, 0.0], [0.0, 1.0, -1.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
+)
 
-    z is the stacked [s; e; x; r] vector of length 4n. Algebraically
-    identical to :func:`derivative`; exists so the integrators pay one
-    matvec per evaluation instead of a dozen small array ops.
+
+class _Kernel:
+    """Rates of the (4, n) state Z = [s; e; x; r]: dZ = Z A^T + C (R * Z).
+
+    A = Phi - diag(gamma) moves every compartment over the network. Row c
+    of R holds compartment c's per-node exit rate (beta x, sigma, delta,
+    alpha); row 0 is refreshed from the state on each call. C hands each
+    exit flux on around the cycle, so the local terms cancel per node. Holds
+    one n x n matrix and 4 x n rates, never a 4n x 4n operator.
     """
 
     def __init__(self, params: EpidemicParams, network: FlowNetwork):
-        n = network.n
-        self.n = n
+        self.a_t = np.ascontiguousarray((network.coupling - np.diag(network.gamma)).T)
         self.beta = params.beta
-        g = np.diag(network.gamma)
-        phi = network.coupling
-        a, sg, d = np.diag(params.alpha), np.diag(params.sigma), np.diag(params.delta)
-        z = np.zeros((n, n))
-        self.lin = np.block(
-            [
-                [phi - g, z, z, a],
-                [z, phi - sg - g, z, z],
-                [z, sg, phi - d - g, z],
-                [z, z, d, phi - a - g],
-            ]
-        )
+        self.rates = np.stack([params.beta, params.sigma, params.delta, params.alpha])
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = self.lin @ z
-        infection = self.beta * z[2 * n : 3 * n] * z[:n]
-        out[:n] -= infection
-        out[n : 2 * n] += infection
-        return out
+        self.rates[0] = self.beta * z[2]
+        return z @ self.a_t + _CYCLE @ (self.rates * z)
 
 
-def _settle_onto_simplex(z: np.ndarray, n: int, t: float) -> np.ndarray:
+def _settle_onto_simplex(z: np.ndarray, t: float) -> np.ndarray:
     """Clamp rounding-scale boundary violations and renormalize node sums.
 
     Only excursions within CLAMP_EPS of the boundary are absorbed; entries
@@ -208,8 +197,7 @@ def _settle_onto_simplex(z: np.ndarray, n: int, t: float) -> np.ndarray:
         )
     if (-CLAMP_EPS <= low < 0.0) or (1.0 < high <= 1.0 + CLAMP_EPS):
         z = np.clip(z, 0.0, 1.0)
-        m = z.reshape(4, n)
-        z = (m / m.sum(axis=0)).reshape(-1)
+        z = z / z.sum(axis=0)
     return z
 
 
@@ -230,40 +218,47 @@ def integrate(
     _check_dims(state0, params, schedule.periods[0][1])
     if step <= 0:
         raise ValidationError("step must be positive")
-    if t_end < 0:
-        raise ValidationError("t_end must be nonnegative")
+    if not 0.0 <= t_end < math.inf:
+        raise ValidationError("t_end must be finite and nonnegative")
     if t_end > schedule.total_duration:
         raise ValidationError(
             f"schedule covers [0, {schedule.total_duration}] but t_end={t_end}"
         )
 
     n = state0.n
-    times = [0.0]
-    states = [state0.as_matrix().reshape(-1).copy()]
-    t = 0.0
-    period_end = 0.0
-    kernel = None
+    periods, start = [], 0.0  # (network, step end times, step sizes) per period
     for duration, net in schedule.periods:
-        if t >= t_end:
+        if start >= t_end:
             break
-        period_end = min(period_end + duration, t_end)
+        end = min(start + duration, t_end)
+        tol = 1e-12 * max(1.0, end)
+        if start < end - tol:
+            # times start + k*step, then a last step onto the period end exactly
+            grid = start + step * np.arange(1, math.ceil((end - start) / step) + 1)
+            grid = np.append(grid[grid < end - tol], end)
+            sizes = np.diff(grid, prepend=start)
+            sizes[:-1] = step
+            periods.append((net, grid, sizes))
+        start = end
+
+    times = np.concatenate([[0.0], *(grid for _, grid, _ in periods)])
+    data = np.empty((len(times), 4, n))
+    data[0] = state0.as_matrix()
+    z, k = data[0], 0
+    for net, grid, sizes in periods:
         kernel = _Kernel(params, net)
-        z = states[-1]
-        while t < period_end - 1e-12 * max(1.0, period_end):
-            h = min(step, period_end - t)
+        for t, h in zip(grid.tolist(), sizes.tolist()):
             k1 = kernel(z)
             k2 = kernel(z + 0.5 * h * k1)
             k3 = kernel(z + 0.5 * h * k2)
             k4 = kernel(z + h * k3)
             z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            z = _settle_onto_simplex(z, n, t)
-            times.append(t)
-            states.append(z)
+            z = _settle_onto_simplex(z, t)
+            k += 1
+            data[k] = z
 
-    data = np.array(states).reshape(len(states), 4, n)
     _validate_trajectory_data(data)
-    return Trajectory(times=np.array(times), data=data, schedule=schedule)
+    return Trajectory(times=times, data=data, schedule=schedule)
 
 
 def _validate_trajectory_data(data: np.ndarray):
@@ -292,9 +287,9 @@ def step_euler(
     _check_dims(state, params, network)
     if h <= 0:
         raise ValidationError("h must be positive")
-    z = state.as_matrix().reshape(-1)
-    z = _euler_step_raw(z, _Kernel(params, network), h, 0.0)
-    return SystemState.from_matrix(z.reshape(4, state.n))
+    return SystemState.from_matrix(
+        _euler_step_raw(state.as_matrix(), _Kernel(params, network), h, 0.0)
+    )
 
 
 def simulate_discrete(
@@ -321,7 +316,7 @@ def simulate_discrete(
     n = state0.n
     truth = np.empty((steps + 1, 4, n))
     truth[0] = state0.as_matrix()
-    z = truth[0].reshape(-1).copy()
+    z = truth[0]
     kernel = None
     current_net = None
     for k in range(steps):
@@ -331,7 +326,7 @@ def simulate_discrete(
             kernel = _Kernel(params, net)
             current_net = net
         z = _euler_step_raw(z, kernel, h, t)
-        truth[k + 1] = z.reshape(4, n)
+        truth[k + 1] = z
 
     if noise_std > 0.0:
         if rng is None or isinstance(rng, (int, np.integer)):

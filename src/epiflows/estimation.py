@@ -139,36 +139,44 @@ def build_regression(series: ObservationSeries, node: int) -> tuple[np.ndarray, 
     Psi holds the h-scaled features so that Psi @ (beta, sigma, delta, alpha)
     reproduces delta for data generated by the discrete model.
     """
-    return _build_regression(series, node, _step_groups(series))
+    return _regression(series, node, _node_increments(series, node))
 
 
-def _build_regression(
-    series: ObservationSeries, node: int, groups
-) -> tuple[np.ndarray, np.ndarray]:
-    t = series.steps
-    if t < 1:
-        raise ValidationError("need at least one transition (T >= 1)")
+def _node_increments(series: ObservationSeries, node: int) -> np.ndarray:
+    groups = _step_groups(series)
     if not 0 <= node < series.n:
         raise ValidationError(f"node index {node} out of range for n={series.n}")
-    h = series.h
-    q = series.data  # (T+1, 4, n)
+    return _increments(series, [node], groups)[:, :, 0]
 
-    delta = np.empty((4, t))
+
+def _increments(series: ObservationSeries, nodes, groups) -> np.ndarray:
+    """State increments minus travel terms, shape (T, 4, k), for the nodes
+    that ``nodes`` selects (an index list, or ``slice(None)`` for all).
+
+    The travel terms come from one product of each step group's (m, 4, n)
+    state block with the selected rows of that group's coupling matrix.
+    """
+    if series.steps < 1:
+        raise ValidationError("need at least one transition (T >= 1)")
+    q = series.data  # (T+1, 4, n)
+    increments = q[1:, :, nodes] - q[:-1, :, nodes]
     for start, stop, net in groups:
         if net.n != series.n:
             raise ScheduleMismatch("schedule node count does not match observations")
-        g_i = net.gamma[node]
-        phi_row = net.coupling[node]
-        block = q[start:stop]  # (m, 4, n)
-        flow_term = h * (g_i * block[:, :, node] - block @ phi_row)
-        delta[:, start:stop] = (
-            q[start + 1 : stop + 1, :, node] - block[:, :, node] + flow_term
-        ).T
+        own = q[start:stop, :, nodes]
+        moved = q[start:stop].reshape(-1, series.n) @ net.coupling[nodes].T
+        increments[start:stop] += series.h * (net.gamma[nodes] * own - moved.reshape(own.shape))
+    return increments
 
-    s, e, x, r = (q[:-1, c, node] for c in range(4))
+
+def _regression(
+    series: ObservationSeries, node: int, increments: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi, delta) of one node from its (T, 4) travel-corrected increments."""
+    s, e, x, r = (series.data[:-1, c, node] for c in range(4))
     sx = s * x
-    zero = np.zeros(t)
-    psi = h * np.block(
+    zero = np.zeros(series.steps)
+    psi = series.h * np.block(
         [
             [np.column_stack([-sx, zero, zero, r])],
             [np.column_stack([sx, -e, zero, zero])],
@@ -176,7 +184,7 @@ def _build_regression(
             [np.column_stack([zero, zero, x, -r])],
         ]
     )
-    return psi, delta.reshape(-1)
+    return psi, increments.T.reshape(-1)
 
 
 def _solve(psi: np.ndarray, delta: np.ndarray, solver: str) -> np.ndarray:
@@ -197,11 +205,10 @@ def estimate_node(series: ObservationSeries, node: int, solver: str = "nnls") ->
     A rank-deficient system still returns the minimum-norm (or nonnegative)
     solution but is flagged unidentifiable.
     """
-    return _estimate_node(series, node, solver, _step_groups(series))
+    return _fit(node, *_regression(series, node, _node_increments(series, node)), solver)
 
 
-def _estimate_node(series: ObservationSeries, node: int, solver: str, groups) -> NodeEstimate:
-    psi, delta = _build_regression(series, node, groups)
+def _fit(node: int, psi: np.ndarray, delta: np.ndarray, solver: str) -> NodeEstimate:
     theta = _solve(psi, delta, solver)
     sv = np.linalg.svd(psi, compute_uv=False)
     if sv.max() == 0.0:
@@ -223,9 +230,15 @@ def _estimate_node(series: ObservationSeries, node: int, solver: str, groups) ->
 
 
 def estimate_all(series: ObservationSeries, solver: str = "nnls") -> ParameterEstimate:
-    """Per-node estimation across the network (the system decouples by node)."""
-    groups = _step_groups(series)
-    nodes = [_estimate_node(series, i, solver, groups) for i in range(series.n)]
+    """Per-node estimation across the network (the system decouples by node).
+
+    The travel-corrected increments of all nodes come from one pass over the
+    series; each node's column then gets its own least-squares fit.
+    """
+    increments = _increments(series, slice(None), _step_groups(series))
+    nodes = [
+        _fit(i, *_regression(series, i, increments[:, :, i]), solver) for i in range(series.n)
+    ]
     params = EpidemicParams(
         alpha=np.array([v.alpha for v in nodes]),
         beta=np.array([v.beta for v in nodes]),

@@ -210,12 +210,10 @@ def endemic_existence_indicator(
 
 
 def _endemic_map(z: np.ndarray, params: EpidemicParams, phi: np.ndarray, g: np.ndarray):
-    s, e, x, r = z
-    fs = (params.alpha * r + phi @ s) / (params.beta * x + g)
-    fe = (params.beta * x * s + phi @ e) / (params.sigma + g)
-    fx = (params.sigma * e + phi @ x) / (params.delta + g)
-    fr = (params.delta * x + phi @ r) / (params.alpha + g)
-    return np.stack([fs, fe, fx, fr])
+    """Inflow over outflow rate per compartment and node: travel in through
+    Phi plus the previous compartment's exit flux around s -> e -> x -> r -> s."""
+    rates = np.stack([params.beta * z[2], params.sigma, params.delta, params.alpha])
+    return (np.roll(rates * z, 1, axis=0) + z @ phi.T) / (rates + g)
 
 
 def solve_endemic(

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from epiflows import EpidemicParams, SystemState, balance_flows, build_network
 from epiflows.errors import EmptySchedule, ParseError, UnknownNode, ValidationError
@@ -122,6 +123,76 @@ def raw_flow_derivative(state, params, network):
         out[2, i] = params.sigma[i] * e - params.delta[i] * x + travel[2]
         out[3, i] = params.delta[i] * x - params.alpha[i] * r + travel[3]
     return out
+
+
+def dense_operator(params, network):
+    """The 4n x 4n linear part of the dynamics on the stacked state
+    [s; e; x; r], with Phi written out once per compartment."""
+    n = network.n
+    g = np.diag(network.gamma)
+    phi = network.coupling
+    a, sg, d = np.diag(params.alpha), np.diag(params.sigma), np.diag(params.delta)
+    z = np.zeros((n, n))
+    return np.block(
+        [
+            [phi - g, z, z, a],
+            [z, phi - sg - g, z, z],
+            [z, sg, phi - d - g, z],
+            [z, z, d, phi - a - g],
+        ]
+    )
+
+
+def dense_rates(params, network, m):
+    """Rates of the (4, n) state m: dense_operator @ m plus the infection term."""
+    out = (dense_operator(params, network) @ m.reshape(-1)).reshape(m.shape)
+    infection = params.beta * m[2] * m[0]
+    out[0] -= infection
+    out[1] += infection
+    return out
+
+
+@st.composite
+def balanced_systems(draw, periods=1, max_n=30):
+    """(networks, params, state) on n from 1 to max_n nodes: ``periods``
+    networks with random symmetric (so balanced) flows over shared ids and
+    populations, in which a drawn set of nodes has no outflow at all."""
+    n = draw(st.integers(1, max_n))
+    silent = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    populations = rng.uniform(1e3, 1e5, n)
+    networks = []
+    for _ in range(periods):
+        flows = rng.uniform(0.1, 1.0, (n, n)) * 50.0
+        flows = 0.5 * (flows + flows.T)
+        np.fill_diagonal(flows, 0.0)
+        flows[silent] = 0.0
+        flows[:, silent] = 0.0
+        networks.append(build_network([f"n{i}" for i in range(n)], populations, flows))
+    return networks, random_params(rng, n), random_state(rng, n)
+
+
+def regression_by_phi_rows(series, node):
+    """(Psi, delta) of one node, its travel terms taken as the node's row of
+    Phi times the state, step by step."""
+    h, q, t = series.h, series.data, series.steps
+    delta = np.empty((4, t))
+    for k in range(t):
+        net = series.schedule.network_at(series.times[k])
+        travel = h * (net.gamma[node] * q[k, :, node] - q[k] @ net.coupling[node])
+        delta[:, k] = q[k + 1, :, node] - q[k, :, node] + travel
+    s, e, x, r = (q[:-1, c, node] for c in range(4))
+    sx = s * x
+    zero = np.zeros(t)
+    psi = h * np.block(
+        [
+            [np.column_stack([-sx, zero, zero, r])],
+            [np.column_stack([sx, -e, zero, zero])],
+            [np.column_stack([zero, e, -x, zero])],
+            [np.column_stack([zero, zero, x, -r])],
+        ]
+    )
+    return psi, delta.reshape(-1)
 
 
 def all_pairs_by_enumeration(d):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from epiflows import (
     EpidemicParams,
@@ -20,7 +21,16 @@ from epiflows.errors import (
     StepTooLarge,
     ValidationError,
 )
-from helpers import random_balanced_network, random_params, random_state, raw_flow_derivative
+from epiflows.dynamics import _Kernel
+from helpers import (
+    PROPERTY_SETTINGS,
+    balanced_systems,
+    dense_rates,
+    random_balanced_network,
+    random_params,
+    random_state,
+    raw_flow_derivative,
+)
 
 
 def isolated_node(beta, sigma, delta, alpha):
@@ -105,6 +115,24 @@ class TestDerivative:
         assert np.array_equal(dx, np.zeros(4))
 
 
+class TestKernel:
+    @PROPERTY_SETTINGS
+    @given(balanced_systems())
+    def test_matches_dense_operator(self, system):
+        (net,), params, state = system
+        m = state.as_matrix()
+        assert np.abs(_Kernel(params, net)(m) - dense_rates(params, net, m)).max() < 1e-13
+
+    def test_holds_no_4n_operator(self):
+        # a 4n x 4n operator at n = 400 is 16 n^2 entries (41 MB)
+        n = 400
+        rng = np.random.default_rng(8)
+        kernel = _Kernel(random_params(rng, n), random_balanced_network(rng, n))
+        arrays = [v for v in vars(kernel).values() if isinstance(v, np.ndarray)]
+        arrays += [a.base for a in arrays if a.base is not None]
+        assert arrays and max(a.size for a in arrays) <= n * n
+
+
 class TestIntegrate:
     def test_healthy_stays_constant(self, five_node):
         net, params = five_node
@@ -164,6 +192,14 @@ class TestIntegrate:
             assert traj.data.min() >= 0.0 and traj.data.max() <= 1.0
             assert np.abs(traj.data.sum(axis=1) - 1.0).max() < 1e-9
 
+    def test_time_grid_is_start_plus_k_steps(self, five_node, five_node_start):
+        net, params = five_node
+        traj = integrate(five_node_start, params, net, t_end=300.0, step=0.01)
+        assert len(traj) == 30_001
+        assert traj.times[-1] == 300.0
+        assert traj.times[100] == 1.0
+        assert np.array_equal(traj.times, 0.01 * np.arange(30_001))
+
     def test_validates_horizon_and_step(self, five_node):
         net, params = five_node
         state = SystemState.healthy(5)
@@ -172,6 +208,10 @@ class TestIntegrate:
         schedule = NetworkSchedule(periods=((1.0, net),))
         with pytest.raises(ValidationError):
             integrate(state, params, schedule, t_end=2.0)
+        # a static network covers every horizon, but no step grid reaches inf
+        for t_end in (np.inf, np.nan):
+            with pytest.raises(ValidationError):
+                integrate(state, params, net, t_end=t_end)
 
 
 class TestStepEuler:
@@ -236,6 +276,19 @@ class TestSimulateDiscrete:
         for k in range(1, 21):
             state = step_euler(state, params, net, h=1.0)
             assert np.array_equal(traj.data[k], state.as_matrix())
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(periods=3))
+    def test_matches_dense_euler_over_a_schedule(self, system):
+        nets, params, state = system
+        schedule = NetworkSchedule(periods=tuple((30.0, net) for net in nets))
+        h = 0.25  # h (beta + gamma) < 1 keeps every Euler step on the simplex
+        traj = simulate_discrete(state, params, schedule, steps=320, h=h)
+        m = state.as_matrix()
+        for k in range(320):
+            net = schedule.network_at(k * h)
+            m = np.clip(m + h * dense_rates(params, net, m), 0.0, 1.0)
+            assert np.abs(traj.data[k + 1] - m).max() < 1e-12
 
     def test_noise_statistics(self, five_node, five_node_start):
         net, params = five_node

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import epiflows
 from epiflows import (
@@ -21,7 +22,14 @@ from epiflows import (
 from epiflows.errors import DimensionMismatch, ScheduleMismatch, ValidationError
 from epiflows.estimation import read_params_csv
 from epiflows.network import NetworkSchedule
-from helpers import random_balanced_network, random_params, random_state
+from helpers import (
+    PROPERTY_SETTINGS,
+    balanced_systems,
+    random_balanced_network,
+    random_params,
+    random_state,
+    regression_by_phi_rows,
+)
 
 
 def isolated_system(beta=1.0, sigma=1.0, delta=0.5, alpha=0.1):
@@ -186,6 +194,20 @@ class TestEstimateAll:
                                    schedule=wrong)
         bad = estimate_all(series, solver="pseudo_inverse")
         assert max(parameter_rmse(params, bad)) > 1e-4
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(periods=3))
+    def test_matches_per_node_phi_row_regressions(self, system):
+        nets, params, state = system
+        schedule = NetworkSchedule(periods=tuple((4.0, net) for net in nets))
+        traj = simulate_discrete(state, params, schedule, steps=40, h=0.25)
+        series = ObservationSeries.from_trajectory(traj)
+        est = estimate_all(series, solver="pseudo_inverse")
+        for i in range(series.n):
+            psi, delta = regression_by_phi_rows(series, i)
+            theta, *_ = np.linalg.lstsq(psi, delta, rcond=None)
+            got = [getattr(est.params, name)[i] for name in ("beta", "sigma", "delta", "alpha")]
+            assert np.abs(np.array(got) - theta).max() < 1e-12
 
     def test_permutation_equivariance(self, five_node, five_node_start):
         net, params = five_node
