@@ -182,6 +182,13 @@ class _Kernel:
         self.rates[0] = self.beta * z[2]
         return z @ self.a_t + _CYCLE @ (self.rates * z)
 
+    def left_product(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """w^T (M - Q) for a (4, n) weight w, with the rates frozen at each row
+        of infection fractions x (T, n): W A + (C^T W) * R, shape (T, 4, n)."""
+        rates = np.repeat(self.rates[None], len(x), axis=0)
+        rates[:, 0] = self.beta * x
+        return w @ self.a_t.T + (_CYCLE.T @ w) * rates
+
 
 def _settle_onto_simplex(z: np.ndarray, t: float) -> np.ndarray:
     """Clamp rounding-scale boundary violations and renormalize node sums.

@@ -337,6 +337,8 @@ def perturb_flows_balanced(
         raise DimensionMismatch(
             f"theta must have shape {network.gamma.shape}, got {theta.shape}"
         )
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError("theta must be finite")
     new_gamma = network.gamma + theta
     if np.any(new_gamma < 0):
         raise NegativeRate("gamma + theta must be nonnegative")

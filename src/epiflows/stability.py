@@ -2,8 +2,10 @@
 
 The healthy state (s, e, x, r) = (1, 0, 0, 0) is always an equilibrium; its
 local stability is decided by the spectral abscissa of the Metzler matrix U
-built from the exposed/infected blocks of the healthy-state Jacobian. The
-endemic equilibrium is found as a fixed point of the positive map
+built from the exposed/infected blocks of the healthy-state Jacobian J. The
+dense U, J and M are each kron(I_k, base) plus per-node diagonal blocks, and
+J is block lower-triangular, so its spectrum is spec U plus that of its r
+block. The endemic equilibrium is found as a fixed point of the positive map
 f(z) = Q*(z)^-1 M*(z) z with per-node simplex renormalization.
 """
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EpidemicParams, SystemState, Trajectory, derivative
+from .dynamics import (_CYCLE, EpidemicParams, SystemState, Trajectory, _check_dims,
+                       _Kernel, _validate_trajectory_data, derivative)
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -58,6 +61,9 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class EndemicSolution:
+    """The equilibrium, its fixed-point residual and iterations, and s(-Q + M)
+    there, which is 0 up to rounding (see endemic_existence_indicator)."""
+
     state: SystemState
     residual: float
     iterations: int
@@ -84,35 +90,44 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
     return float(_eigvals(matrix).real.max())
 
 
-def u_matrix(params: EpidemicParams, network: FlowNetwork) -> np.ndarray:
-    """2n x 2n Metzler block [[-Sigma-Gamma+Phi, B], [Sigma, -D-Gamma+Phi]]."""
+def _assemble(base: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """kron(I_k, base) plus the k x k grid of diagonal blocks diag(blocks[a, b]),
+    for an n x n base and a (k, k, n) array of per-node entries."""
+    k, n = blocks.shape[0], base.shape[0]
+    out = np.zeros((k, n, k, n))
+    for a in range(k):
+        out[a, :, a] = base
+    node = np.arange(n)
+    out[:, node, :, node] += blocks.transpose(2, 0, 1)
+    return out.reshape(k * n, k * n)
+
+
+def _healthy_part(params: EpidemicParams, network: FlowNetwork, part: slice) -> np.ndarray:
+    """Rows and columns ``part`` of the (e, x, r) Jacobian at the healthy state."""
     if params.n != network.n:
         raise DimensionMismatch("params and network node counts differ")
-    phi = network.coupling
-    g = np.diag(network.gamma)
-    return np.block(
-        [
-            [phi - np.diag(params.sigma) - g, np.diag(params.beta)],
-            [np.diag(params.sigma), phi - np.diag(params.delta) - g],
-        ]
-    )
+    a, b, s, d = params.alpha, params.beta, params.sigma, params.delta
+    o = np.zeros_like(a)
+    blocks = np.array([[-s, b, o], [s, -d, o], [o, d, -a]])
+    return _assemble(network.coupling - np.diag(network.gamma), blocks[part, part])
+
+
+def u_matrix(params: EpidemicParams, network: FlowNetwork) -> np.ndarray:
+    """2n x 2n Metzler block [[-Sigma-Gamma+Phi, B], [Sigma, -D-Gamma+Phi]]."""
+    return _healthy_part(params, network, slice(0, 2))
 
 
 def healthy_jacobian(params: EpidemicParams, network: FlowNetwork) -> np.ndarray:
     """3n x 3n Jacobian of the (e, x, r) dynamics at the healthy state."""
-    if params.n != network.n:
-        raise DimensionMismatch("params and network node counts differ")
-    n = network.n
-    phi = network.coupling
-    g = np.diag(network.gamma)
-    z = np.zeros((n, n))
-    return np.block(
-        [
-            [phi - np.diag(params.sigma) - g, np.diag(params.beta), z],
-            [np.diag(params.sigma), phi - np.diag(params.delta) - g, z],
-            [z, np.diag(params.delta), phi - np.diag(params.alpha) - g],
-        ]
-    )
+    return _healthy_part(params, network, slice(0, 3))
+
+
+def _healthy_spectra(params: EpidemicParams, network: FlowNetwork):
+    """(spec U, sorted spec J). J is block lower-triangular, U over (e, x) and
+    Phi - diag(alpha + gamma) over r, so spec J is the union of the two."""
+    eig_u = _eigvals(u_matrix(params, network))
+    eig_r = _eigvals(_healthy_part(params, network, slice(2, 3)))
+    return eig_u, np.sort_complex(np.concatenate([eig_u, eig_r]))
 
 
 def classify_healthy(
@@ -125,16 +140,16 @@ def classify_healthy(
     The stability conditions are strict inequalities, so a band around
     s(U) = 0 makes the boundary testable: anything inside it is Marginal.
     """
-    if marginal_band < 0:
-        raise ValidationError("marginal_band must be nonnegative")
-    s_u = spectral_abscissa(u_matrix(params, network))
+    if not (np.isfinite(marginal_band) and marginal_band >= 0):
+        raise ValidationError("marginal_band must be finite and nonnegative")
+    eig_u, spectrum = _healthy_spectra(params, network)
+    s_u = float(eig_u.real.max())
     if s_u < -marginal_band:
         label = STABLE
     elif s_u > marginal_band:
         label = UNSTABLE
     else:
         label = MARGINAL
-    spectrum = _eigvals(healthy_jacobian(params, network))
     return StabilityReport(
         s_of_U=s_u,
         classification=label,
@@ -173,23 +188,30 @@ def q_and_m_matrices(
     state: SystemState, params: EpidemicParams, network: FlowNetwork
 ) -> tuple[np.ndarray, np.ndarray]:
     """State-dependent split of the full 4n dynamics, dz = (-Q + M) z."""
-    n = network.n
-    bx = params.beta * state.x
-    g = network.gamma
-    Q = np.diag(
-        np.concatenate([bx + g, params.sigma + g, params.delta + g, params.alpha + g])
-    )
-    phi = network.coupling
-    z = np.zeros((n, n))
-    M = np.block(
-        [
-            [phi, z, z, np.diag(params.alpha)],
-            [np.diag(bx), phi, z, z],
-            [z, np.diag(params.sigma), phi, z],
-            [z, z, np.diag(params.delta), phi],
-        ]
-    )
+    rates = np.stack([params.beta * state.x, params.sigma, params.delta, params.alpha])
+    Q = np.diag((rates + network.gamma).ravel())
+    M = _assemble(network.coupling, np.maximum(_CYCLE, 0.0)[:, :, None] * rates)
     return Q, M
+
+
+def _existence_indicator(
+    states: np.ndarray, params: EpidemicParams, network: FlowNetwork
+) -> float:
+    """min over the (4, n) states of s(-Q + M), by Collatz-Wielandt enclosures:
+    s(B) lies in [min r, max r], r = (v^T B) / v, for Metzler B and v > 0.
+    For the stacked populations v, r_j is the gap between what the coupling
+    carries out of node j and gamma_j N_j (0 up to rounding for networks from
+    build_network). The midpoint is taken when the enclosure is within 1e-12
+    of the largest rate wide, else dense eigenvalues of M - Q."""
+    v = np.broadcast_to(network.populations, (4, network.n))
+    ratios = _Kernel(params, network).left_product(v, states[:, 2]) / v
+    low, high = ratios.min(axis=(1, 2)), ratios.max(axis=(1, 2))
+    values = 0.5 * (low + high)
+    scale = np.max([params.alpha, params.beta, params.sigma, params.delta, network.gamma])
+    for k in np.flatnonzero(high - low > 1e-12 * scale):
+        Q, M = q_and_m_matrices(SystemState.from_matrix(states[k]), params, network)
+        values[k] = spectral_abscissa(M - Q)
+    return float(values.min())
 
 
 def endemic_existence_indicator(
@@ -197,23 +219,15 @@ def endemic_existence_indicator(
 ) -> float:
     """min over sampled states of s(-Q(state) + M(state)).
 
-    A strictly positive value certifies the endemic-existence hypothesis
-    along the sampled trajectory only, not globally.
+    Total population is conserved, so the stacked populations are a positive
+    left null vector of -Q + M at every state and the value is 0 up to
+    rounding (Perron-Frobenius): it cannot certify endemic existence.
     """
     if len(trajectory) == 0:
         raise ValidationError("trajectory is empty")
-    best = np.inf
-    for k in range(len(trajectory)):
-        Q, M = q_and_m_matrices(trajectory.state_at(k), params, network)
-        best = min(best, spectral_abscissa(M - Q))
-    return float(best)
-
-
-def _endemic_map(z: np.ndarray, params: EpidemicParams, phi: np.ndarray, g: np.ndarray):
-    """Inflow over outflow rate per compartment and node: travel in through
-    Phi plus the previous compartment's exit flux around s -> e -> x -> r -> s."""
-    rates = np.stack([params.beta * z[2], params.sigma, params.delta, params.alpha])
-    return (np.roll(rates * z, 1, axis=0) + z @ phi.T) / (rates + g)
+    _check_dims(trajectory.final_state, params, network)
+    _validate_trajectory_data(trajectory.data)
+    return _existence_indicator(trajectory.data, params, network)
 
 
 def solve_endemic(
@@ -231,24 +245,23 @@ def solve_endemic(
     residual max|f(z) - z| drops below tolerance. The returned state is
     verified to zero the continuous-time derivative within 10x tolerance.
     """
-    if params.n != network.n:
-        raise DimensionMismatch("params and network node counts differ")
     if not 0 < damping <= 1:
         raise ValidationError("damping must lie in (0, 1]")
     if not is_strongly_connected(network):
         raise NotIrreducible("endemic solving requires a strongly connected network")
     if init is None:
         init = SystemState.from_matrix(np.full((4, network.n), 0.25))
-    if init.n != network.n:
-        raise DimensionMismatch("init and network node counts differ")
+    _check_dims(init, params, network)
     z = init.as_matrix().copy()
     if np.any(z <= 0):
         raise InvalidState("init must be strictly positive in every compartment")
 
-    phi, g = network.coupling, network.gamma
+    kernel = _Kernel(params, network)
     residual = np.inf
     for iteration in range(1, max_iterations + 1):
-        fz = _endemic_map(z, params, phi, g)
+        # f(z) = inflow / outflow rate per compartment and node; the kernel's
+        # rates are inflow - (R + gamma) z, and its call refreshes R from z
+        fz = z + kernel(z) / (kernel.rates + network.gamma)
         residual = float(np.abs(fz - z).max())
         if residual <= tolerance:
             state = SystemState.from_matrix(z / z.sum(axis=0))
@@ -260,12 +273,13 @@ def solve_endemic(
                     best=state,
                     residual=residual,
                 )
-            Q, M = q_and_m_matrices(state, params, network)
             return EndemicSolution(
                 state=state,
                 residual=residual,
                 iterations=iteration,
-                existence_indicator=spectral_abscissa(M - Q),
+                existence_indicator=_existence_indicator(
+                    state.as_matrix()[None], params, network
+                ),
             )
         z = (1.0 - damping) * z + damping * (fz / fz.sum(axis=0))
     raise NoConvergence(
@@ -299,8 +313,7 @@ def eigenvalue_drift_under_perturbation(
     Requires the unperturbed Jacobian to have distinct eigenvalues
     (pairwise gap > 1e-8).
     """
-    j0 = healthy_jacobian(params, network)
-    eig0 = _eigvals(j0)
+    _, eig0 = _healthy_spectra(params, network)
     gaps = np.abs(eig0.reshape(-1, 1) - eig0.reshape(1, -1))
     np.fill_diagonal(gaps, np.inf)
     if gaps.min() <= 1e-8:
@@ -309,5 +322,5 @@ def eigenvalue_drift_under_perturbation(
             f"(min gap {gaps.min():.3e})"
         )
     perturbed = perturb_flows_balanced(network, theta)
-    eig1 = _eigvals(healthy_jacobian(params, perturbed))
+    _, eig1 = _healthy_spectra(params, perturbed)
     return hausdorff_distance(eig0, eig1)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import heapq
 import math
@@ -150,6 +151,80 @@ def dense_rates(params, network, m):
     out[0] -= infection
     out[1] += infection
     return out
+
+
+def u_matrix_by_blocks(params, network):
+    """U assembled block by block, Phi written out per block."""
+    phi = network.coupling
+    g = np.diag(network.gamma)
+    return np.block(
+        [
+            [phi - np.diag(params.sigma) - g, np.diag(params.beta)],
+            [np.diag(params.sigma), phi - np.diag(params.delta) - g],
+        ]
+    )
+
+
+def healthy_jacobian_by_blocks(params, network):
+    """The (e, x, r) healthy-state Jacobian assembled block by block."""
+    n = network.n
+    phi = network.coupling
+    g = np.diag(network.gamma)
+    z = np.zeros((n, n))
+    return np.block(
+        [
+            [phi - np.diag(params.sigma) - g, np.diag(params.beta), z],
+            [np.diag(params.sigma), phi - np.diag(params.delta) - g, z],
+            [z, np.diag(params.delta), phi - np.diag(params.alpha) - g],
+        ]
+    )
+
+
+def q_and_m_by_blocks(state, params, network):
+    """(Q, M) of the full 4n dynamics assembled block by block."""
+    n = network.n
+    bx = params.beta * state.x
+    g = network.gamma
+    Q = np.diag(
+        np.concatenate([bx + g, params.sigma + g, params.delta + g, params.alpha + g])
+    )
+    phi = network.coupling
+    z = np.zeros((n, n))
+    M = np.block(
+        [
+            [phi, z, z, np.diag(params.alpha)],
+            [np.diag(bx), phi, z, z],
+            [z, np.diag(params.sigma), phi, z],
+            [z, z, np.diag(params.delta), phi],
+        ]
+    )
+    return Q, M
+
+
+def loosely_balanced(network, rng, rel=1e-7):
+    """The network with every flow scaled by an independent factor within
+    1 +- rel, so node balance holds only to about rel (build_network accepts
+    1e-6)."""
+    flows = network.flows * (1.0 + rel * rng.uniform(-1.0, 1.0, network.flows.shape))
+    return build_network(network.node_ids, network.populations, flows)
+
+
+def leaky_outflows(network, rng, rel=1e-7):
+    """The network with each gamma_j scaled within 1 +- rel, so the coupling
+    no longer carries exactly gamma_j N_j out of node j: total population is
+    not conserved, and s(M - Q) moves off 0 by about rel * gamma."""
+    gamma = network.gamma * (1.0 + rel * rng.uniform(-1.0, 1.0, network.n))
+    return dataclasses.replace(network, gamma=gamma)
+
+
+def matched_distance(a, b):
+    """Largest distance between paired points of two equal-size complex sets,
+    under the pairing that minimises the total distance."""
+    from scipy.optimize import linear_sum_assignment
+
+    gaps = np.abs(np.reshape(a, (-1, 1)) - np.reshape(b, (1, -1)))
+    rows, cols = linear_sum_assignment(gaps)
+    return float(gaps[rows, cols].max())
 
 
 @st.composite

@@ -138,6 +138,16 @@ class TestStability:
         report = read_json(tmp_path / "stability.json")
         assert report["perturbation"]["eigenvalue_drift"] >= 0.0
 
+    @pytest.mark.parametrize("flag", ["--marginal-band", "--perturb-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_2_with_json(self, tmp_path, capsys, flag, value):
+        code = run("stability", "--demo", "five-node", flag, value,
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert not (tmp_path / "stability.json").exists()
+
 
 class TestEstimate:
     def test_noiseless_round_trip_through_files(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from epiflows import (
     EpidemicParams,
@@ -9,12 +10,16 @@ from epiflows import (
     build_network,
     classify_healthy,
     derivative,
+    eigenvalue_drift_under_perturbation,
+    endemic_existence_indicator,
     integrate,
     read_trajectory_csv,
     simulate_discrete,
+    solve_endemic,
     step_euler,
     write_trajectory_csv,
 )
+from epiflows import stability
 from epiflows.errors import (
     InvalidState,
     StateLeftSimplex,
@@ -26,6 +31,7 @@ from helpers import (
     PROPERTY_SETTINGS,
     balanced_systems,
     dense_rates,
+    q_and_m_by_blocks,
     random_balanced_network,
     random_params,
     random_state,
@@ -123,6 +129,19 @@ class TestKernel:
         m = state.as_matrix()
         assert np.abs(_Kernel(params, net)(m) - dense_rates(params, net, m)).max() < 1e-13
 
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(), st.integers(0, 2**32 - 1))
+    def test_left_product_matches_dense_split(self, system, seed):
+        (net,), params, state = system
+        w = np.random.default_rng(seed).uniform(0.0, 1.0, (4, net.n))
+        states = [state, SystemState.healthy(net.n)]
+        got = _Kernel(params, net).left_product(w, np.stack([z.x for z in states]))
+        assert got.shape == (2, 4, net.n)
+        for row, z in zip(got, states):
+            Q, M = q_and_m_by_blocks(z, params, net)
+            want = (w.reshape(-1) @ (M - Q)).reshape(4, net.n)
+            assert np.abs(row - want).max() < 1e-13
+
     def test_holds_no_4n_operator(self):
         # a 4n x 4n operator at n = 400 is 16 n^2 entries (41 MB)
         n = 400
@@ -131,6 +150,46 @@ class TestKernel:
         arrays = [v for v in vars(kernel).values() if isinstance(v, np.ndarray)]
         arrays += [a.base for a in arrays if a.base is not None]
         assert arrays and max(a.size for a in arrays) <= n * n
+
+
+class TestSpectrumCost:
+    """Which dense eigenproblems the stability layer solves, by shape."""
+
+    n = 40
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        shapes = []
+
+        def eigvals(matrix):
+            shapes.append(matrix.shape)
+            return np.linalg.eigvals(matrix)
+
+        monkeypatch.setattr(stability, "_eigvals", eigvals)
+        return shapes
+
+    @pytest.fixture
+    def system(self):
+        rng = np.random.default_rng(12)
+        return random_params(rng, self.n), random_balanced_network(rng, self.n)
+
+    def test_indicator_on_balanced_flows_solves_nothing(self, solved, system, five_node):
+        params, net = system
+        traj = integrate(random_state(np.random.default_rng(3), self.n), params, net,
+                         t_end=1.0, step=0.1)
+        endemic_existence_indicator(traj, params, net)
+        demo_net, demo_params = five_node
+        solve_endemic(demo_params, demo_net)
+        assert solved == []
+
+    def test_classification_solves_at_most_2n(self, solved, system):
+        classify_healthy(*system)
+        assert solved and max(max(shape) for shape in solved) <= 2 * self.n
+
+    def test_drift_solves_at_most_2n(self, solved, system):
+        params, net = system
+        eigenvalue_drift_under_perturbation(params, net, 0.1 * net.gamma)
+        assert solved and max(max(shape) for shape in solved) <= 2 * self.n
 
 
 class TestIntegrate:

@@ -1,9 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epiflows import (
     EpidemicParams,
     SystemState,
+    Trajectory,
     build_network,
     classify_healthy,
     derivative,
@@ -11,24 +16,37 @@ from epiflows import (
     endemic_existence_indicator,
     healthy_jacobian,
     integrate,
+    perturb_flows_balanced,
     solve_endemic,
     spectral_abscissa_condition,
     u_matrix,
     uniqueness_condition,
 )
+from epiflows import stability
 from epiflows.errors import (
     DegenerateSpectrum,
+    DimensionMismatch,
     InvalidState,
     NegativeEntryInM,
     NotDiagonal,
     NotIrreducible,
     PerturbationUnbalanced,
+    ValidationError,
 )
+from epiflows.network import NetworkSchedule
 from epiflows.stability import hausdorff_distance, q_and_m_matrices
 from helpers import (
+    PROPERTY_SETTINGS,
+    balanced_systems,
+    healthy_jacobian_by_blocks,
+    leaky_outflows,
+    loosely_balanced,
+    matched_distance,
+    q_and_m_by_blocks,
     random_balanced_network,
     random_irreducible_nonneg,
     random_params,
+    u_matrix_by_blocks,
 )
 
 
@@ -164,6 +182,15 @@ class TestExistenceIndicator:
             Q, M = q_and_m_matrices(traj.state_at(k), params, net)
             assert np.abs(v @ (M - Q)).max() < 1e-9 * v.max()
 
+    def test_leaking_network_falls_back_to_dense(self, five_node, five_node_start):
+        net, params = five_node
+        leaky = leaky_outflows(net, np.random.default_rng(6))
+        traj = two_state_trajectory(five_node_start, leaky)
+        with mock.patch.object(stability, "_eigvals", wraps=stability._eigvals) as eig:
+            got = endemic_existence_indicator(traj, params, leaky)
+        assert eig.call_count == 2
+        assert got == pytest.approx(dense_indicator(traj, params, leaky), abs=1e-15)
+
 
 class TestSolveEndemic:
     def test_rejects_healthy_init(self, five_node):
@@ -286,3 +313,109 @@ class TestHausdorff:
         b = np.array([1.0 + 1j, 2.5])
         assert hausdorff_distance(a, b) == pytest.approx(0.5)
         assert hausdorff_distance(b, a) == pytest.approx(0.5)
+
+
+def two_state_trajectory(state, network):
+    data = np.stack([state.as_matrix(), SystemState.healthy(network.n).as_matrix()])
+    return Trajectory(times=np.arange(2.0), data=data, schedule=NetworkSchedule.static(network))
+
+
+def dense_indicator(trajectory, params, network):
+    return min(
+        np.linalg.eigvals(M - Q).real.max()
+        for Q, M in (q_and_m_by_blocks(trajectory.state_at(k), params, network)
+                     for k in range(len(trajectory)))
+    )
+
+
+class TestDenseBuilders:
+    @PROPERTY_SETTINGS
+    @given(balanced_systems())
+    def test_match_block_assemblies(self, system):
+        (net,), params, state = system
+        pairs = [
+            (u_matrix(params, net), u_matrix_by_blocks(params, net)),
+            (healthy_jacobian(params, net), healthy_jacobian_by_blocks(params, net)),
+            *zip(q_and_m_matrices(state, params, net), q_and_m_by_blocks(state, params, net)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13
+
+
+class TestSpectrumProperties:
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(), st.floats(-0.9, 1.0, exclude_min=True, exclude_max=True))
+    def test_classification_never_flips_under_balanced_perturbation(self, system, c):
+        (net,), params, _ = system
+        before = classify_healthy(params, net).classification
+        after = classify_healthy(params, perturb_flows_balanced(net, c * net.gamma))
+        assert after.classification == before
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems())
+    def test_block_split_spectrum_matches_dense_jacobian(self, system):
+        (net,), params, _ = system
+        jacobian = healthy_jacobian_by_blocks(params, net)
+        want = np.linalg.eigvals(jacobian)
+        got = classify_healthy(params, net).jacobian_spectrum
+        assert got.shape == want.shape
+        assert np.array_equal(got, np.sort_complex(got))
+        assert matched_distance(got, want) <= 1e-12 * max(1.0, np.abs(jacobian).max())
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(), st.integers(0, 2**32 - 1))
+    def test_indicator_matches_dense_on_loosely_balanced_flows(self, system, seed):
+        # build_network derives gamma and the coupling from the same flows,
+        # so the stacked populations stay a left null vector of M - Q even
+        # when node balance holds only to 1e-7: the enclosure closes
+        (net,), params, state = system
+        loose = loosely_balanced(net, np.random.default_rng(seed))
+        traj = two_state_trajectory(state, loose)
+        with mock.patch.object(stability, "_eigvals", wraps=stability._eigvals) as eig:
+            got = endemic_existence_indicator(traj, params, loose)
+        assert eig.call_count == 0
+        assert abs(got - dense_indicator(traj, params, loose)) <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(), st.integers(0, 2**32 - 1))
+    def test_indicator_matches_dense_when_population_leaks(self, system, seed):
+        (net,), params, state = system
+        leaky = leaky_outflows(net, np.random.default_rng(seed))
+        traj = two_state_trajectory(state, leaky)
+        got = endemic_existence_indicator(traj, params, leaky)
+        assert abs(got - dense_indicator(traj, params, leaky)) <= 1e-12
+
+
+class TestStabilityInputs:
+    @pytest.mark.parametrize("band", [np.nan, np.inf])
+    def test_non_finite_marginal_band_rejected(self, five_node, band):
+        net, params = five_node
+        with pytest.raises(ValidationError):
+            classify_healthy(params, net, marginal_band=band)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, five_node, bad):
+        net, params = five_node
+        theta = 0.1 * net.gamma
+        theta[1] = bad
+        with pytest.raises(ValidationError):
+            perturb_flows_balanced(net, theta)
+        with pytest.raises(ValidationError):
+            eigenvalue_drift_under_perturbation(params, net, theta)
+
+    def test_indicator_rejects_trajectory_of_other_size(self, five_node):
+        net, params = five_node
+        rng = np.random.default_rng(4)
+        other = random_balanced_network(rng, 4)
+        traj = integrate(SystemState.healthy(4), random_params(rng, 4), other,
+                         t_end=1.0, step=0.5)
+        with pytest.raises(DimensionMismatch):
+            endemic_existence_indicator(traj, params, net)
+
+    def test_indicator_rejects_states_off_the_simplex(self, five_node, five_node_start):
+        net, params = five_node
+        traj = two_state_trajectory(five_node_start, net)
+        traj.data[1, 2, 0] = -0.5
+        with pytest.raises(InvalidState):
+            endemic_existence_indicator(traj, params, net)
