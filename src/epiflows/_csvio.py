@@ -77,11 +77,12 @@ def raise_first(path, checks) -> None:
 
 
 def numbers(path, columns, names) -> list[np.ndarray]:
-    """The columns as floats; ParseError for the first cell that is not one."""
+    """The columns as finite floats; ParseError for the first cell that is
+    not one."""
     parsed = [decode(column) for column in columns]
     raise_first(path, [
-        (bad, lambda k, where, column=column, name=name:
+        (bad | ~np.isfinite(values), lambda k, where, column=column, name=name:
             ParseError(f"{where}: bad {name} value {column[k]!r}"))
-        for (_, bad), column, name in zip(parsed, columns, names)
+        for (values, bad), column, name in zip(parsed, columns, names)
     ])
     return [values for values, _ in parsed]

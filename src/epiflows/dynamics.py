@@ -114,8 +114,8 @@ class Trajectory:
     schedule: NetworkSchedule
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValidationError("trajectory times must be strictly increasing")
+        if not (np.isfinite(self.times).all() and np.all(np.diff(self.times) > 0)):
+            raise ValidationError("trajectory times must be finite and strictly increasing")
         if self.data.shape[:2] != (len(self.times), 4):
             raise DimensionMismatch(
                 f"data shape {self.data.shape} does not match {len(self.times)} times"
@@ -223,8 +223,8 @@ def integrate(
     """
     schedule = as_schedule(schedule)
     _check_dims(state0, params, schedule.periods[0][1])
-    if step <= 0:
-        raise ValidationError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise ValidationError("step must be finite and positive")
     if not 0.0 <= t_end < math.inf:
         raise ValidationError("t_end must be finite and nonnegative")
     if t_end > schedule.total_duration:
@@ -292,8 +292,8 @@ def step_euler(
 ) -> SystemState:
     """One explicit Euler update; per-node sums are preserved up to rounding."""
     _check_dims(state, params, network)
-    if h <= 0:
-        raise ValidationError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValidationError("h must be finite and positive")
     return SystemState.from_matrix(
         _euler_step_raw(state.as_matrix(), _Kernel(params, network), h, 0.0)
     )
@@ -317,8 +317,10 @@ def simulate_discrete(
     _check_dims(state0, params, schedule.periods[0][1])
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
-    if h <= 0:
-        raise ValidationError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValidationError("h must be finite and positive")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValidationError("noise_std must be finite and nonnegative")
 
     n = state0.n
     truth = np.empty((steps + 1, 4, n))
@@ -374,7 +376,8 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
 def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Inverse of write_trajectory_csv: (times, node_ids, data (T, 4, n)).
 
-    Raises ParseError naming ``path:line`` for a cell that is not a number.
+    Raises ParseError naming ``path:line`` for a cell that is not a finite
+    number.
     """
     names = ("time", "node_id", "s", "e", "x", "r")
     time_cells, node_cells, *value_cells = read_columns(
@@ -388,6 +391,6 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     times, slot = np.unique(stamps, return_inverse=True)
     data = np.full((len(times), 4, len(node_ids)), np.nan)
     data[slot, :, node] = np.stack(values, axis=1)
-    if math.isnan(data.min()):  # a NaN cell, or a node/time pair with no row
+    if math.isnan(data.min()):  # a node/time pair with no row
         raise ValidationError("trajectory CSV is missing node/time rows")
     return times, node_ids, data

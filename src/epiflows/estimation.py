@@ -1,8 +1,12 @@
 """Spreading-parameter recovery from sampled states and known flows.
 
-Each node decouples into a 4T x 4 linear system: stack the per-step state
-increments with the flow terms moved to the left-hand side, and regress them
-on the bilinear/linear state features multiplying (beta, sigma, delta, alpha).
+Each node decouples into a 4T x 4 least-squares system Psi theta = delta for
+theta = (beta, sigma, delta, alpha): delta stacks the state increments with the
+travel terms moved to the left-hand side, and Psi is h times the SEIRS cycle
+matrix C applied to the exit fluxes per unit rate (s x, e, x, r). Nodes are fitted
+_CHUNK at a time from the triangular factors R of their stacked [Psi | delta];
+nonnegative fits try every support of theta (Lawson & Hanson, Solving Least
+Squares Problems, 1974, ch. 23), so no iterative solver is needed.
 """
 from __future__ import annotations
 
@@ -12,13 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvio import numbers, read_columns
-from .dynamics import EpidemicParams, SystemState, Trajectory
+from .dynamics import _CYCLE, EpidemicParams, SystemState, Trajectory
 from .errors import DimensionMismatch, ScheduleMismatch, ValidationError
 from .network import FlowNetwork, NetworkSchedule
 
 RANK_RATIO_TOL = 1e-10
 
 SOLVERS = ("pseudo_inverse", "nnls")
+
+_CHUNK = 128  # nodes per stacked fit, so the (k, 4T, 5) stack stays a few MB at any n
 
 
 @dataclass(frozen=True)
@@ -33,8 +39,10 @@ class ObservationSeries:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", times)
-        if self.h <= 0:
-            raise ValidationError("h must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise ValidationError("h must be finite and positive")
+        if not np.isfinite(times).all():
+            raise ValidationError("times must be finite")
         if len(times) < 1 or self.data.shape[:2] != (len(times), 4):
             raise DimensionMismatch(
                 f"data shape {self.data.shape} does not match {len(times)} times"
@@ -59,9 +67,6 @@ class ObservationSeries:
 
     def state_at(self, k: int) -> SystemState:
         return SystemState.from_matrix(self.data[k])
-
-    def with_schedule(self, schedule: NetworkSchedule) -> "ObservationSeries":
-        return ObservationSeries(self.h, self.times, self.data, schedule)
 
     @classmethod
     def from_trajectory(cls, trajectory: Trajectory) -> "ObservationSeries":
@@ -117,41 +122,17 @@ def _step_groups(series: ObservationSeries) -> list[tuple[int, int, FlowNetwork]
     """Consecutive step ranges sharing one network, as (start, stop, net)."""
     if series.schedule is None:
         raise ScheduleMismatch("observation series carries no flow schedule")
-    t = series.steps
-    nets = []
-    for k in range(t):
-        try:
-            nets.append(series.schedule.network_at(series.times[k]))
-        except ValidationError as exc:
-            raise ScheduleMismatch(str(exc)) from exc
-    groups, start = [], 0
-    for k in range(1, t + 1):
-        if k == t or nets[k] is not nets[start]:
-            groups.append((start, k, nets[start]))
-            start = k
-    return groups
+    try:
+        nets = [series.schedule.network_at(t) for t in series.times[:-1].tolist()]
+    except ValidationError as exc:
+        raise ScheduleMismatch(str(exc)) from exc
+    starts = [k for k in range(len(nets)) if k == 0 or nets[k] is not nets[k - 1]]
+    return [(a, b, nets[a]) for a, b in zip(starts, starts[1:] + [len(nets)])]
 
 
-def build_regression(series: ObservationSeries, node: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node regression system (Psi, delta) with Psi of shape (4T, 4).
-
-    delta holds the state increments with the travel terms subtracted out;
-    Psi holds the h-scaled features so that Psi @ (beta, sigma, delta, alpha)
-    reproduces delta for data generated by the discrete model.
-    """
-    return _regression(series, node, _node_increments(series, node))
-
-
-def _node_increments(series: ObservationSeries, node: int) -> np.ndarray:
-    groups = _step_groups(series)
-    if not 0 <= node < series.n:
-        raise ValidationError(f"node index {node} out of range for n={series.n}")
-    return _increments(series, [node], groups)[:, :, 0]
-
-
-def _increments(series: ObservationSeries, nodes, groups) -> np.ndarray:
+def _increments(series: ObservationSeries, nodes: slice, groups) -> np.ndarray:
     """State increments minus travel terms, shape (T, 4, k), for the nodes
-    that ``nodes`` selects (an index list, or ``slice(None)`` for all).
+    in the slice ``nodes``.
 
     The travel terms come from one product of each step group's (m, 4, n)
     state block with the selected rows of that group's coupling matrix.
@@ -169,95 +150,94 @@ def _increments(series: ObservationSeries, nodes, groups) -> np.ndarray:
     return increments
 
 
-def _regression(
-    series: ObservationSeries, node: int, increments: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Psi, delta) of one node from its (T, 4) travel-corrected increments."""
-    s, e, x, r = (series.data[:-1, c, node] for c in range(4))
-    sx = s * x
-    zero = np.zeros(series.steps)
-    psi = series.h * np.block(
-        [
-            [np.column_stack([-sx, zero, zero, r])],
-            [np.column_stack([sx, -e, zero, zero])],
-            [np.column_stack([zero, e, -x, zero])],
-            [np.column_stack([zero, zero, x, -r])],
-        ]
-    )
-    return psi, increments.T.reshape(-1)
+def _systems(series: ObservationSeries, nodes: slice, groups) -> np.ndarray:
+    """The regression systems [Psi | delta] of the nodes in the slice
+    ``nodes``, stacked as (k, 4T, 5) with rows in the order c*T + t: a view
+    of a (k, 5, 4T) array, so each system's columns are contiguous for QR."""
+    increments = _increments(series, nodes, groups).T  # (k, 4, T)
+    flux = series.data[:-1, :, nodes].copy()  # (T, 4, k): s x, e, x, r
+    flux[:, 0] *= flux[:, 2]
+    k, _, t = increments.shape
+    columns = np.empty((k, 5, 4, t))
+    np.multiply((series.h * _CYCLE.T)[:, :, None], flux.T[:, :, None, :], out=columns[:, :4])
+    columns[:, 4] = increments
+    return columns.reshape(k, 5, 4 * t).transpose(0, 2, 1)
 
 
-def _solve(psi: np.ndarray, delta: np.ndarray, solver: str) -> np.ndarray:
-    if solver == "pseudo_inverse":
-        theta, *_ = np.linalg.lstsq(psi, delta, rcond=None)
-        return theta
+def _node_system(series: ObservationSeries, node: int) -> np.ndarray:
+    groups = _step_groups(series)
+    if not 0 <= node < series.n:
+        raise ValidationError(f"node index {node} out of range for n={series.n}")
+    return _systems(series, slice(node, node + 1), groups)
+
+
+def build_regression(series: ObservationSeries, node: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node regression system (Psi, delta) with Psi of shape (4T, 4).
+
+    delta holds the state increments with the travel terms subtracted out;
+    Psi holds the h-scaled features so that Psi @ (beta, sigma, delta, alpha)
+    reproduces delta for data generated by the discrete model.
+    """
+    a = _node_system(series, node)[0]
+    return a[:, :4], a[:, 4]
+
+
+def _fit(a: np.ndarray, solver: str):
+    """Fits of the stacked systems a = [Psi | delta], (k, 4T, 5): theta (k, 4)
+    as (beta, sigma, delta, alpha), and per node the residual norm, the
+    identifiability flag and the condition number of Psi.
+
+    With a = Q R, Psi has the singular values of R4 = R[:4, :4], and
+    |Psi theta - delta| = hypot(|R4 theta - c|, R[4, 4]) for c = R[:4, 4].
+    A rank-deficient system still gets the minimum-norm (or nonnegative)
+    solution but is flagged unidentifiable.
+    """
+    if solver not in SOLVERS:
+        raise ValidationError(f"solver must be one of {SOLVERS}, got {solver!r}")
+    r = np.linalg.qr(a, mode="r")  # (k, 5, 5), or (k, 4, 5) when T = 1
+    r4, c = r[:, :4, :4], r[:, :4, 4]
+    rcond = np.finfo(float).eps * a.shape[1]  # lstsq's cutoff for the rank
     if solver == "nnls":
-        import scipy.optimize  # here, so that only NNLS estimation pays its import time
-
-        theta, _ = scipy.optimize.nnls(psi, delta)
-        return theta
-    raise ValidationError(f"solver must be one of {SOLVERS}, got {solver!r}")
+        theta = np.zeros(c.shape)  # the support {}: theta = 0
+        least = np.linalg.norm(c, axis=1)
+        for support in ([j for j in range(4) if m >> j & 1] for m in range(1, 16)):
+            fit = np.zeros(c.shape)
+            fit[:, support] = np.einsum("kij,kj->ki", np.linalg.pinv(r4[:, :, support], rcond), c)
+            residual = np.linalg.norm(np.einsum("kij,kj->ki", r4, fit) - c, axis=1)
+            better = (fit >= 0).all(axis=1) & (residual < least)
+            theta[better], least[better] = fit[better], residual[better]
+    else:
+        theta = np.einsum("kij,kj->ki", np.linalg.pinv(r4, rcond), c)
+    residual = np.hypot(np.linalg.norm(np.einsum("kij,kj->ki", r4, theta) - c, axis=1),
+                        np.linalg.norm(r[:, 4:, 4], axis=1))
+    sv = np.linalg.svd(r4, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        identifiable = sv[:, -1] / sv[:, 0] >= RANK_RATIO_TOL
+        cond = np.where(sv[:, -1] > 0, sv[:, 0] / sv[:, -1], np.inf)
+    return theta, residual, identifiable, cond
 
 
 def estimate_node(series: ObservationSeries, node: int, solver: str = "nnls") -> NodeEstimate:
-    """Recover (beta, sigma, delta, alpha) for one node.
+    """Recover (beta, sigma, delta, alpha) for one node, by estimate_all's fit.
 
     A rank-deficient system still returns the minimum-norm (or nonnegative)
     solution but is flagged unidentifiable.
     """
-    return _fit(node, *_regression(series, node, _node_increments(series, node)), solver)
-
-
-def _fit(node: int, psi: np.ndarray, delta: np.ndarray, solver: str) -> NodeEstimate:
-    theta = _solve(psi, delta, solver)
-    sv = np.linalg.svd(psi, compute_uv=False)
-    if sv.max() == 0.0:
-        identifiable, cond = False, np.inf
-    else:
-        ratio = sv.min() / sv.max()
-        identifiable = bool(ratio >= RANK_RATIO_TOL)
-        cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf
-    return NodeEstimate(
-        node=node,
-        beta=float(theta[0]),
-        sigma=float(theta[1]),
-        delta=float(theta[2]),
-        alpha=float(theta[3]),
-        residual_norm=float(np.linalg.norm(psi @ theta - delta)),
-        identifiable=identifiable,
-        condition_number=cond,
-    )
+    theta, residual, identifiable, cond = _fit(_node_system(series, node), solver)
+    return NodeEstimate(node, *theta[0].tolist(), float(residual[0]), bool(identifiable[0]),
+                        float(cond[0]))
 
 
 def estimate_all(series: ObservationSeries, solver: str = "nnls") -> ParameterEstimate:
-    """Per-node estimation across the network (the system decouples by node).
-
-    The travel-corrected increments of all nodes come from one pass over the
-    series; each node's column then gets its own least-squares fit.
-    """
-    increments = _increments(series, slice(None), _step_groups(series))
-    nodes = [
-        _fit(i, *_regression(series, i, increments[:, :, i]), solver) for i in range(series.n)
-    ]
-    params = EpidemicParams(
-        alpha=np.array([v.alpha for v in nodes]),
-        beta=np.array([v.beta for v in nodes]),
-        sigma=np.array([v.sigma for v in nodes]),
-        delta=np.array([v.delta for v in nodes]),
-        strict=False,
-    )
-    node_ids = (
-        series.schedule.node_ids
-        if series.schedule is not None
-        else tuple(str(i) for i in range(series.n))
-    )
-    return ParameterEstimate(
-        node_ids=node_ids,
-        params=params,
-        residual_norm=np.array([v.residual_norm for v in nodes]),
-        identifiable=np.array([v.identifiable for v in nodes]),
-        condition_number=np.array([v.condition_number for v in nodes]),
-    )
+    """Per-node estimation across the network (the system decouples by node),
+    fitted _CHUNK nodes at a time."""
+    groups = _step_groups(series)
+    fits = [_fit(_systems(series, slice(i, i + _CHUNK), groups), solver)
+            for i in range(0, series.n, _CHUNK)]
+    theta, residual, identifiable, cond = map(np.concatenate, zip(*fits))
+    beta, sigma, delta, alpha = theta.T
+    params = EpidemicParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta, strict=False)
+    return ParameterEstimate(series.schedule.node_ids, params, residual, identifiable, cond)
 
 
 def _as_params(value) -> EpidemicParams:
@@ -298,7 +278,7 @@ def write_estimate_csv(path, estimate: ParameterEstimate) -> None:
 def read_params_csv(path) -> tuple[tuple[str, ...], EpidemicParams]:
     """Read per-node rates from a CSV with the write_estimate_csv column layout
     (extra columns are ignored); ParseError names ``path:line`` of a rate
-    that is not a number."""
+    that is not a finite number."""
     rates = ("beta", "sigma", "delta", "alpha")
     node_ids, *cells = read_columns(
         path, ("node_id", *rates),

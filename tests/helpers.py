@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from epiflows import EpidemicParams, SystemState, balance_flows, build_network
 from epiflows.errors import EmptySchedule, ParseError, UnknownNode, ValidationError
+from epiflows.estimation import RANK_RATIO_TOL
 from epiflows.network import NetworkSchedule
 
 # property tests draw the same examples on every run
@@ -268,6 +269,25 @@ def regression_by_phi_rows(series, node):
         ]
     )
     return psi, delta.reshape(-1)
+
+
+def fit_by_node(psi, delta, solver):
+    """The per-node fit the stacked QR fit replaced: (theta, residual norm,
+    identifiable, condition number) of one system, from lstsq or
+    scipy.optimize.nnls and the singular values of Psi itself."""
+    if solver == "pseudo_inverse":
+        theta, *_ = np.linalg.lstsq(psi, delta, rcond=None)
+    else:
+        import scipy.optimize
+
+        theta, _ = scipy.optimize.nnls(psi, delta)
+    sv = np.linalg.svd(psi, compute_uv=False)
+    if sv.max() == 0.0:
+        identifiable, cond = False, np.inf
+    else:
+        identifiable = bool(sv.min() / sv.max() >= RANK_RATIO_TOL)
+        cond = float(sv.max() / sv.min()) if sv.min() > 0 else np.inf
+    return theta, float(np.linalg.norm(psi @ theta - delta)), identifiable, cond
 
 
 def all_pairs_by_enumeration(d):

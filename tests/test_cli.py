@@ -97,6 +97,23 @@ class TestSimulate:
         summary = read_json(tmp_path / "summary.json")
         assert summary["t_final"] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "continuous", "--step", "nan"],
+        ["--mode", "continuous", "--step", "inf"],
+        ["--h", "nan"],
+        ["--h", "inf"],
+        ["--noise-std", "nan"],
+        ["--noise-std", "inf"],
+        ["--noise-std", "-0.01"],
+    ])
+    def test_non_finite_argument_exits_2_with_json(self, tmp_path, capsys, argv):
+        code = run("simulate", "--demo", "five-node", *argv, "--out-dir", str(tmp_path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert "must be finite" in err["error"]["message"]
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_gnuplot_script_emitted(self, tmp_path):
         code = run("simulate", "--demo", "five-node", "--steps", "10",
                    "--gnuplot", "--out-dir", str(tmp_path))
@@ -179,6 +196,24 @@ class TestEstimate:
                    "--out-dir", str(tmp_path))
         assert code == 0
         assert "not identifiable" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["estimate", "predict"])
+def test_non_finite_observation_time_exits_2(tmp_path, capsys, command):
+    net, params = five_node_system()
+    traj = simulate_discrete(five_node_initial_state(), params, net, steps=6, h=1.0)
+    obs = tmp_path / "obs.csv"
+    write_trajectory_csv(obs, traj)
+    lines = obs.read_text().splitlines(keepends=True)
+    lines[-1] = "nan" + lines[-1][lines[-1].index(","):]
+    obs.write_text("".join(lines))
+    code = run(command, "--demo", "five-node", "--observations", str(obs),
+               "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ParseError"
+    assert f"{obs}:{len(lines)}: bad time value 'nan'" in err["error"]["message"]
+    assert not (tmp_path / "out").exists()
 
 
 class TestDistance:

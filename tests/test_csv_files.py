@@ -215,6 +215,14 @@ def test_bad_rate_names_its_line(tmp_path):
         read_params_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_rate_names_its_line(tmp_path, cell):
+    path = tmp_path / "params.csv"
+    path.write_text(f"node_id,beta,sigma,delta,alpha\na,0.1,0.1,0.1,0.1\nb,0.1,0.1,{cell},0.1\n")
+    with pytest.raises(ParseError, match=rf"params\.csv:3: bad delta value '{cell}'"):
+        read_params_csv(path)
+
+
 # ---------------------------------------------------------------- CLI fuzz
 
 POPULATIONS = "node_id,population\n" + "".join(f"{n},1000\n" for n in "abc")

@@ -1,17 +1,25 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import epiflows
 from epiflows import (
     EpidemicParams,
     NetworkSchedule,
+    ObservationSeries,
     SystemState,
     build_network,
     classify_healthy,
     derivative,
     eigenvalue_drift_under_perturbation,
     endemic_existence_indicator,
+    estimate_all,
     integrate,
     read_trajectory_csv,
     simulate_discrete,
@@ -19,14 +27,15 @@ from epiflows import (
     step_euler,
     write_trajectory_csv,
 )
-from epiflows import stability
+from epiflows import estimation, stability
 from epiflows.errors import (
     InvalidState,
+    ParseError,
     StateLeftSimplex,
     StepTooLarge,
     ValidationError,
 )
-from epiflows.dynamics import _Kernel
+from epiflows.dynamics import Trajectory, _Kernel
 from helpers import (
     PROPERTY_SETTINGS,
     balanced_systems,
@@ -192,6 +201,43 @@ class TestSpectrumCost:
         assert solved and max(max(shape) for shape in solved) <= 2 * self.n
 
 
+class TestEstimationCost:
+    """What a fit of every node loads and holds."""
+
+    def test_nnls_estimate_leaves_scipy_optimize_unloaded(self, five_node, five_node_start,
+                                                          tmp_path):
+        net, params = five_node
+        observations = tmp_path / "obs.csv"
+        write_trajectory_csv(observations, simulate_discrete(five_node_start, params, net,
+                                                             steps=30, noise_std=0.01, rng=1))
+        src = os.path.dirname(os.path.dirname(epiflows.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["estimate", "--demo", "five-node", "--observations", str(observations),
+                "--solver", "nnls", "--out-dir", str(tmp_path)]
+        probe = ("import sys, epiflows.cli; code = epiflows.cli.main(sys.argv[1:]); "
+                 "print(code, 'scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split()[-2:] == ["0", "False"]
+
+    def test_never_stacks_every_node_at_once(self):
+        # one (n, 4T, 5) stack of all nodes' systems is 6.4 MB here; a chunk
+        # and its QR copy take about two thirds of that
+        n, t = 400, 100
+        rng = np.random.default_rng(6)
+        data = rng.dirichlet(np.ones(4), size=(t + 1, n)).transpose(0, 2, 1).copy()
+        series = ObservationSeries(h=1.0, times=np.arange(t + 1.0), data=data,
+                                   schedule=NetworkSchedule.static(random_balanced_network(rng, n)))
+        tracemalloc.start()
+        try:
+            estimate_all(series, "nnls")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimation._CHUNK < n
+        assert peak < n * 4 * t * 5 * 8
+
+
 class TestIntegrate:
     def test_healthy_stays_constant(self, five_node):
         net, params = five_node
@@ -262,8 +308,9 @@ class TestIntegrate:
     def test_validates_horizon_and_step(self, five_node):
         net, params = five_node
         state = SystemState.healthy(5)
-        with pytest.raises(ValidationError):
-            integrate(state, params, net, t_end=1.0, step=0.0)
+        for step in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="step"):
+                integrate(state, params, net, t_end=1.0, step=step)
         schedule = NetworkSchedule(periods=((1.0, net),))
         with pytest.raises(ValidationError):
             integrate(state, params, schedule, t_end=2.0)
@@ -312,6 +359,12 @@ class TestStepEuler:
             assert out.e[i] == pytest.approx(want_e, abs=1e-12)
             assert out.x[i] == pytest.approx(want_x, abs=1e-12)
             assert out.r[i] == pytest.approx(want_r, abs=1e-12)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_rejects_non_finite_h(self, five_node, five_node_start, h):
+        net, params = five_node
+        with pytest.raises(ValidationError, match="h must be finite and positive"):
+            step_euler(five_node_start, params, net, h=h)
 
     def test_leaving_simplex_detected(self):
         net, params = isolated_node(beta=1.0, sigma=2.0, delta=0.5, alpha=0.1)
@@ -362,6 +415,19 @@ class TestSimulateDiscrete:
         # observations renormalized onto the simplex
         assert np.abs(noisy.data.sum(axis=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("h, noise_std, message", [
+        (np.nan, 0.0, "h must be finite and positive"),
+        (np.inf, 0.0, "h must be finite and positive"),
+        (1.0, np.nan, "noise_std must be finite and nonnegative"),
+        (1.0, np.inf, "noise_std must be finite and nonnegative"),
+        (1.0, -0.01, "noise_std must be finite and nonnegative"),
+    ])
+    def test_rejects_non_finite_arguments(self, five_node, five_node_start, h, noise_std,
+                                          message):
+        net, params = five_node
+        with pytest.raises(ValidationError, match=message):
+            simulate_discrete(five_node_start, params, net, steps=5, h=h, noise_std=noise_std)
+
     def test_noise_is_reproducible(self, five_node, five_node_start):
         net, params = five_node
         a = simulate_discrete(five_node_start, params, net, 50, 1.0, 0.01, rng=7)
@@ -380,6 +446,20 @@ class TestTrajectoryCsv:
         assert node_ids == net.node_ids
         assert np.array_equal(times, traj.times)
         assert np.array_equal(data, traj.data)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.nan], [0.0, 1.0, np.inf]])
+    def test_non_finite_times_rejected(self, five_node, times):
+        net, _ = five_node
+        data = np.tile(SystemState.healthy(5).as_matrix(), (3, 1, 1))
+        with pytest.raises(ValidationError, match="finite"):
+            Trajectory(times=np.array(times), data=data, schedule=NetworkSchedule.static(net))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_time_cell_names_its_line(self, tmp_path, cell):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"time,node_id,s,e,x,r\n0.0,a,1,0,0,0\n{cell},a,1,0,0,0\n2.0,a,1,0,0,0\n")
+        with pytest.raises(ParseError, match=rf"traj\.csv:3: bad time value '{cell}'"):
+            read_trajectory_csv(path)
 
     def test_missing_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import epiflows
 from epiflows import (
@@ -19,12 +20,14 @@ from epiflows import (
     simulate_discrete,
     write_estimate_csv,
 )
+from epiflows import estimation
 from epiflows.errors import DimensionMismatch, ScheduleMismatch, ValidationError
-from epiflows.estimation import read_params_csv
+from epiflows.estimation import RANK_RATIO_TOL, read_params_csv
 from epiflows.network import NetworkSchedule
 from helpers import (
     PROPERTY_SETTINGS,
     balanced_systems,
+    fit_by_node,
     random_balanced_network,
     random_params,
     random_state,
@@ -92,6 +95,21 @@ class TestBuildRegression:
         schedule = NetworkSchedule(periods=((2.0, net),))
         with pytest.raises(ScheduleMismatch):
             ObservationSeries(h=1.0, times=np.arange(5.0), data=data, schedule=schedule)
+
+
+    @pytest.mark.parametrize("h, times", [
+        (np.nan, [0.0, 1.0, 2.0]),
+        (np.inf, [0.0, 1.0, 2.0]),
+        (1.0, [0.0, np.nan, 2.0]),
+        (1.0, [0.0, 1.0, np.nan]),
+        (1.0, [0.0, 1.0, np.inf]),
+    ])
+    def test_non_finite_series_rejected(self, five_node, h, times):
+        net, _ = five_node
+        data = np.tile(SystemState.healthy(5).as_matrix(), (3, 1, 1))
+        with pytest.raises(ValidationError, match="must be finite"):
+            ObservationSeries(h=h, times=np.array(times), data=data,
+                              schedule=NetworkSchedule.static(net))
 
 
 class TestEstimateNode:
@@ -231,6 +249,71 @@ class TestEstimateAll:
             assert np.abs(
                 getattr(permuted.params, name) - getattr(base.params, name)[perm]
             ).max() < 1e-10
+
+
+@st.composite
+def stacked_systems(draw, max_k=8, max_t=6):
+    """Stacks [Psi | delta] of shape (k, 4T, 5), T from 1: each node's Psi is
+    full, has a zero column, has two collinear columns, or is 0."""
+    k, t = draw(st.integers(1, max_k)), draw(st.integers(1, max_t))
+    kinds = draw(st.lists(st.sampled_from(["full", "zero", "collinear", "empty"]),
+                          min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(k, 4 * t, 5)) * 10.0 ** rng.uniform(-3, 1, (k, 1, 1))
+    for i, kind in enumerate(kinds):
+        j, other = rng.choice(4, 2, replace=False)
+        if kind == "zero":
+            a[i, :, j] = 0.0
+        elif kind == "collinear":
+            a[i, :, j] = rng.uniform(-2.0, 2.0) * a[i, :, other]
+        elif kind == "empty":
+            a[i, :, :4] = 0.0
+    return a
+
+
+class TestStackedFit:
+    """The stacked QR fit against lstsq / scipy.optimize.nnls / svd per node."""
+
+    @PROPERTY_SETTINGS
+    @given(stacked_systems(), st.sampled_from(estimation.SOLVERS))
+    def test_matches_per_node_fit(self, a, solver):
+        theta, residual, identifiable, cond = estimation._fit(a, solver)
+        for i in range(len(a)):
+            psi, delta = a[i, :, :4], a[i, :, 4]
+            want, want_residual, want_identifiable, want_cond = fit_by_node(psi, delta, solver)
+            assert identifiable[i] == want_identifiable
+            slack = 1e-12 * (1.0 + np.linalg.norm(delta))
+            if solver == "nnls":
+                assert theta[i].min() >= 0.0
+            assert abs(residual[i] - want_residual) <= slack
+            assert abs(residual[i] - np.linalg.norm(psi @ theta[i] - delta)) <= slack
+            if want_identifiable:
+                tol = 1e-12 if solver == "pseudo_inverse" else 1e-10
+                assert np.abs(theta[i] - want).max() <= tol * max(1.0, np.abs(want).max())
+                assert cond[i] == pytest.approx(want_cond, rel=1e-10)
+            else:
+                assert min(cond[i], want_cond) > 1.0 / RANK_RATIO_TOL
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(periods=2, max_n=12), st.sampled_from(estimation.SOLVERS))
+    def test_chunks_match_one_stack(self, system, solver):
+        nets, params, state = system
+        schedule = NetworkSchedule(periods=tuple((5.0, net) for net in nets))
+        traj = simulate_discrete(state, params, schedule, steps=10, h=0.5,
+                                 noise_std=0.01 if solver == "nnls" else 0.0, rng=0)
+        series = ObservationSeries.from_trajectory(traj)
+        whole = estimate_all(series, solver)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_CHUNK", 3)
+            chunked = estimate_all(series, solver)
+        def results(e):
+            return (e.params.beta, e.params.sigma, e.params.delta, e.params.alpha,
+                    e.residual_norm, e.condition_number)
+
+        # the chunks' travel products may round differently from the whole one's
+        for got, want in zip(results(chunked), results(whole)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        assert np.array_equal(chunked.identifiable, whole.identifiable)
 
 
 class TestParameterRmse:
