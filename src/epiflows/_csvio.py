@@ -8,6 +8,7 @@ as ``csv.DictReader`` does.
 from __future__ import annotations
 
 import csv
+import math
 from itertools import repeat
 
 import numpy as np
@@ -39,16 +40,20 @@ def read_columns(path, names, header_error: Exception) -> list[list]:
 
 def decode(column, convert=float, dtype=float) -> tuple[np.ndarray, np.ndarray]:
     """``convert`` of every cell, called once per distinct cell, and a mask of
-    the cells it rejects with TypeError or ValueError (those read as 0)."""
+    the cells it rejects with TypeError or ValueError (those read as 0) or
+    turns into nan or inf."""
     if convert is float and None not in column:  # numpy would read None as NaN
         try:
-            return np.array(column, dtype=float), np.zeros(len(column), dtype=bool)
+            values = np.array(column, dtype=float)
+            if np.isfinite(values).all():  # else the loop below finds the bad cells
+                return values, np.zeros(len(column), dtype=bool)
         except ValueError:
             pass
     values, bad = {}, {}
     for cell in dict.fromkeys(column):
         try:
-            values[cell], bad[cell] = convert(cell), False
+            values[cell] = convert(cell)
+            bad[cell] = not math.isfinite(values[cell])
         except (TypeError, ValueError):
             values[cell], bad[cell] = 0, True
     return (np.fromiter(map(values.__getitem__, column), dtype, len(column)),
@@ -81,8 +86,8 @@ def numbers(path, columns, names) -> list[np.ndarray]:
     not one."""
     parsed = [decode(column) for column in columns]
     raise_first(path, [
-        (bad | ~np.isfinite(values), lambda k, where, column=column, name=name:
+        (bad, lambda k, where, column=column, name=name:
             ParseError(f"{where}: bad {name} value {column[k]!r}"))
-        for (values, bad), column, name in zip(parsed, columns, names)
+        for (_, bad), column, name in zip(parsed, columns, names)
     ])
     return [values for values, _ in parsed]

@@ -55,6 +55,8 @@ class EpidemicParams:
         if len(shapes) != 1 or self.alpha.ndim != 1:
             raise DimensionMismatch(f"rate vectors must share one 1-d shape, got {shapes}")
         stacked = np.stack([self.alpha, self.beta, self.sigma, self.delta])
+        if not np.isfinite(stacked).all():
+            raise ValidationError("rates must be finite")
         if self.strict and np.any(stacked <= 0):
             raise ValidationError("rates must be strictly positive")
         if not self.strict and np.any(stacked < 0):

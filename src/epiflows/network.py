@@ -28,7 +28,7 @@ from .errors import (
 )
 
 SCALE_BALANCE_TOL = 1e-10
-SCALE_MAX_ITERATIONS = 10_000
+SCALE_MAX_ITERATIONS = 100  # Newton steps
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -183,11 +183,11 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
     per-node balance to rounding.
 
     ``symmetrize`` averages F with its transpose. ``scale`` rescales by a
-    diagonal similarity D^-1 F D with Osborne's Gauss-Seidel node sweeps
-    (Osborne 1960; Parlett and Reinsch 1969), all matrices of a stack at
-    once. The worst relative imbalance must drop below 1e-10 within
-    ``SCALE_MAX_ITERATIONS`` sweeps; sweeping then goes on while it still
-    falls, so input already at the rounding floor comes back unchanged.
+    diagonal similarity D^-1 F D, D = diag(exp u), with damped Newton steps
+    on f(u) = sum_ij F_ij exp(u_j - u_i) (Cohen, Madry, Tsipras and Vladu
+    2017), one batched solve per step for a whole stack. The worst relative
+    imbalance must drop below 1e-10 within ``SCALE_MAX_ITERATIONS`` steps;
+    stepping goes on while it still falls, to the rounding floor.
     """
     flows = np.asarray(flows, dtype=float)
     if flows.ndim not in (2, 3) or flows.shape[-1] != flows.shape[-2]:
@@ -213,7 +213,7 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
             f"node index {bad} has {'outflow' if has_out[window, bad] else 'inflow'} "
             "only; scale balancing cannot converge"
         )
-    return _osborne(stack).reshape(flows.shape)
+    return _newton(stack).reshape(flows.shape)
 
 
 def _worst_imbalance(stack: np.ndarray) -> np.ndarray:
@@ -225,41 +225,46 @@ def _worst_imbalance(stack: np.ndarray) -> np.ndarray:
     return rel.max(axis=-1, initial=0.0)
 
 
-def _osborne(stack: np.ndarray) -> np.ndarray:
-    """D^-1 F D for each matrix F of the stack, with the Gauss-Seidel sweeps
-    of :func:`balance_flows` and the scaling D where its worst imbalance was
-    lowest once below SCALE_BALANCE_TOL."""
-    d = np.ones(stack.shape[:2])
-    lowest = np.full(len(d), np.inf)
-    balanced = np.empty_like(stack)
-    # a node without flows gets d = sqrt((0 + 1) / (0 + 1)); the others add 0
-    isolated = (stack.sum(axis=1) == 0).astype(float)
-    cols = np.ascontiguousarray(stack.transpose(0, 2, 1))  # cols[p, j] is column j
-    todo = np.arange(len(d))
+def _newton(stack: np.ndarray) -> np.ndarray:
+    """D^-1 F D for each F of the stack by the steps of :func:`balance_flows`."""
+    lowest, balanced = np.full(len(stack), np.inf), np.empty_like(stack)
+    scaled, todo, diag = stack, np.arange(len(stack)), np.arange(stack.shape[-1])
+    rounding = 4 * len(diag) * np.finfo(float).eps  # bounds a row sum's relative rounding
     for _ in range(SCALE_MAX_ITERATIONS):
-        scaled = (1.0 / d[todo])[:, :, None] * stack[todo] * d[todo][:, None, :]
         rel = _worst_imbalance(scaled)
         better = (rel < SCALE_BALANCE_TOL) & (rel < lowest[todo])
         lowest[todo[better]] = rel[better]
         balanced[todo[better]] = scaled[better]
-        todo = todo[better | (lowest[todo] == np.inf)]  # done once it stops falling
+        keep = better | (lowest[todo] == np.inf)  # done once it stops falling
+        todo, scaled = todo[keep], scaled[keep]
         if not len(todo):
             return balanced
-        # rows and columns as (1, n) matrices against d and 1/d as (n, 1)
-        rows, columns = stack[todo][:, :, None, :], cols[todo][:, :, None, :]
-        dd, skip = d[todo], isolated[todo]
-        inv_d = 1.0 / dd
-        for j in range(dd.shape[1]):
-            inflow = np.matmul(rows[:, j], dd[:, :, None])[:, 0, 0] + skip[:, j]
-            outflow = np.matmul(columns[:, j], inv_d[:, :, None])[:, 0, 0] + skip[:, j]
-            dd[:, j] = np.sqrt(inflow / outflow)
-            inv_d[:, j] = 1.0 / dd[:, j]
-        d[todo] = dd
+        # f = sum S has gradient outflow - inflow and Hessian the Laplacian of
+        # S + S^T. A ridge of `rounding` times each degree keeps it strictly
+        # diagonally dominant, so elimination meets no zero pivot however
+        # graded the weights, and it turns the Laplacian's null vector on each
+        # weak component into a constant shift of u there, which leaves S as is
+        out, inn = scaled.sum(axis=-2), scaled.sum(axis=-1)
+        grad, degree = out - inn, out + inn
+        hess = -(scaled + np.swapaxes(scaled, -1, -2))
+        hess[:, diag, diag] = degree * (1.0 + rounding) + (degree == 0)  # isolated: step 0
+        step = -np.linalg.solve(hess, grad[..., None])[..., 0]
+        # Armijo backtracking on f + rounding from the largest t <= 1 with exponents <= 30
+        t = 30.0 / np.maximum(np.ptp(step, axis=-1), 30.0)
+        f = out.sum(axis=-1) * (1.0 + rounding)
+        for _ in range(60):
+            e = np.exp(t[:, None] * step)  # |t step| <= 30 plus a shift below 1
+            trial = scaled * (e[:, None, :] / e[:, :, None])
+            fail = trial.sum(axis=(-2, -1)) > f + 1e-4 * t * np.einsum("pi,pi->p", grad, step)
+            if not fail.any():
+                break
+            t = np.where(fail, 0.5 * t, t)
+        scaled = trial
     if np.all(lowest < np.inf):
         return balanced
     raise NoConvergence(
         f"scale balancing did not reach {SCALE_BALANCE_TOL:.0e} within "
-        f"{SCALE_MAX_ITERATIONS} sweeps"
+        f"{SCALE_MAX_ITERATIONS} steps"
     )
 
 

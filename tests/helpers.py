@@ -12,9 +12,15 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from epiflows import EpidemicParams, SystemState, balance_flows, build_network
-from epiflows.errors import EmptySchedule, ParseError, UnknownNode, ValidationError
+from epiflows.errors import (
+    EmptySchedule,
+    NoConvergence,
+    ParseError,
+    UnknownNode,
+    ValidationError,
+)
 from epiflows.estimation import RANK_RATIO_TOL
-from epiflows.network import NetworkSchedule
+from epiflows.network import SCALE_BALANCE_TOL, NetworkSchedule, _worst_imbalance
 
 # property tests draw the same examples on every run
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -202,6 +208,43 @@ def q_and_m_by_blocks(state, params, network):
     return Q, M
 
 
+def osborne_balance(stack, max_sweeps=10_000):
+    """D^-1 F D for each matrix F of a (P, n, n) stack by Osborne's
+    Gauss-Seidel node sweeps (Osborne 1960; Parlett and Reinsch 1969), the
+    scaling balance_flows used before its Newton steps: the worst relative
+    imbalance must drop below 1e-10 within max_sweeps, sweeping then goes on
+    while it still falls, and the lowest one's scaling is returned."""
+    d = np.ones(stack.shape[:2])
+    lowest = np.full(len(d), np.inf)
+    balanced = np.empty_like(stack)
+    # a node without flows gets d = sqrt((0 + 1) / (0 + 1)); the others add 0
+    isolated = (stack.sum(axis=1) == 0).astype(float)
+    cols = np.ascontiguousarray(stack.transpose(0, 2, 1))  # cols[p, j] is column j
+    todo = np.arange(len(d))
+    for _ in range(max_sweeps):
+        scaled = (1.0 / d[todo])[:, :, None] * stack[todo] * d[todo][:, None, :]
+        rel = _worst_imbalance(scaled)
+        better = (rel < SCALE_BALANCE_TOL) & (rel < lowest[todo])
+        lowest[todo[better]] = rel[better]
+        balanced[todo[better]] = scaled[better]
+        todo = todo[better | (lowest[todo] == np.inf)]  # done once it stops falling
+        if not len(todo):
+            return balanced
+        # rows and columns as (1, n) matrices against d and 1/d as (n, 1)
+        rows, columns = stack[todo][:, :, None, :], cols[todo][:, :, None, :]
+        dd, skip = d[todo], isolated[todo]
+        inv_d = 1.0 / dd
+        for j in range(dd.shape[1]):
+            inflow = np.matmul(rows[:, j], dd[:, :, None])[:, 0, 0] + skip[:, j]
+            outflow = np.matmul(columns[:, j], inv_d[:, :, None])[:, 0, 0] + skip[:, j]
+            dd[:, j] = np.sqrt(inflow / outflow)
+            inv_d[:, j] = 1.0 / dd[:, j]
+        d[todo] = dd
+    if np.all(lowest < np.inf):
+        return balanced
+    raise NoConvergence(f"Osborne sweeps did not reach 1e-10 within {max_sweeps} sweeps")
+
+
 def loosely_balanced(network, rng, rel=1e-7):
     """The network with every flow scaled by an independent factor within
     1 +- rel, so node balance holds only to about rel (build_network accepts
@@ -246,6 +289,30 @@ def balanced_systems(draw, periods=1, max_n=30):
         flows[:, silent] = 0.0
         networks.append(build_network([f"n{i}" for i in range(n)], populations, flows))
     return networks, random_params(rng, n), random_state(rng, n)
+
+
+@st.composite
+def balanceable_stacks(draw, max_sigma=2.0):
+    """(P, n, n) stacks of unbalanced flows that a diagonal similarity can
+    balance. Each matrix leaves up to two nodes isolated and splits the rest
+    into one to three weak components, in its own node order. A component is
+    strongly connected by a cycle plus random chords; with two nodes it is
+    the cycle a -> b -> a with unequal flows. Entries are log-normal."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=3))
+    isolated = draw(st.integers(0, 2))
+    n, periods = sum(sizes) + isolated, draw(st.integers(1, 3))
+    sigma = draw(st.floats(0.0, max_sigma))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((periods, n, n))
+    for flows in stack:
+        order = rng.permutation(n)
+        for part in np.split(order[isolated:], np.cumsum(sizes)[:-1]):
+            m = len(part)
+            block = rng.lognormal(0.0, sigma, (m, m)) * (rng.random((m, m)) < 0.4)
+            block[np.roll(np.arange(m), 1), np.arange(m)] = rng.lognormal(0.0, sigma, m)
+            np.fill_diagonal(block, 0.0)
+            flows[np.ix_(part, part)] = block
+    return stack
 
 
 def regression_by_phi_rows(series, node):
@@ -328,6 +395,8 @@ def window_sums_by_rows(path, node_ids, aggregation_days=7):
                 trips = float(row["trips"])
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{where}: bad trips value {row['trips']!r}") from exc
+            if not math.isfinite(trips):
+                raise ParseError(f"{where}: bad trips value {row['trips']!r}")
             if trips < 0:
                 raise ParseError(f"{where}: trips must be nonnegative")
             src, dst = index[row["from_id"]], index[row["to_id"]]

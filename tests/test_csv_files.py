@@ -235,6 +235,8 @@ FLOW_FAULTS = {
     "bad number": (3, "2020-03-01,b,c,five"),
     "negative trips": (8, "2020-03-02,c,a,-5"),
     "unknown id": (5, "2020-03-01,a,zzz,5"),
+    "nan trips": (7, "2020-03-02,b,c,nan"),
+    "infinite trips": (9, "2020-03-02,b,a,inf"),
 }
 
 
@@ -266,6 +268,16 @@ def test_malformed_flow_file_exits_2_at_oracle_line(tmp_path, fault):
     result = run_cli(tmp_path, "validate-data", "--populations", str(tmp_path / "pop.csv"),
                      "--flows", str(flows))
     assert_json_error_at(result, flows, line)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_population_exits_2(tmp_path, cell):
+    populations = tmp_path / "pop.csv"
+    populations.write_text(POPULATIONS.replace("b,1000", f"b,{cell}"))
+    (tmp_path / "flows.csv").write_text("\n".join(GOOD_FLOWS) + "\n")
+    result = run_cli(tmp_path, "validate-data", "--populations", str(populations),
+                     "--flows", str(tmp_path / "flows.csv"))
+    assert_json_error_at(result, populations, 3)
 
 
 def test_malformed_rates_file_exits_2(tmp_path):

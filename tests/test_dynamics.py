@@ -14,6 +14,7 @@ from epiflows import (
     NetworkSchedule,
     ObservationSeries,
     SystemState,
+    balance_flows,
     build_network,
     classify_healthy,
     derivative,
@@ -42,6 +43,7 @@ from helpers import (
     dense_rates,
     q_and_m_by_blocks,
     random_balanced_network,
+    random_irreducible_nonneg,
     random_params,
     random_state,
     raw_flow_derivative,
@@ -55,6 +57,22 @@ def isolated_node(beta, sigma, delta, alpha):
         sigma=np.array([sigma]), delta=np.array([delta]),
     )
     return net, params
+
+
+class TestEpidemicParams:
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, strict, bad):
+        rates = {name: np.full(3, 0.2) for name in ("alpha", "beta", "sigma", "delta")}
+        rates["sigma"][1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            EpidemicParams(**rates, strict=strict)
+
+    def test_zero_rate_only_outside_strict_mode(self):
+        rates = {name: np.zeros(2) for name in ("alpha", "beta", "sigma", "delta")}
+        with pytest.raises(ValidationError, match="strictly positive"):
+            EpidemicParams(**rates)
+        assert EpidemicParams(**rates, strict=False).n == 2
 
 
 class TestSystemState:
@@ -236,6 +254,29 @@ class TestEstimationCost:
             tracemalloc.stop()
         assert estimation._CHUNK < n
         assert peak < n * 4 * t * 5 * 8
+
+
+class TestBalanceCost:
+    """How many batched solves one trips load's balancing makes."""
+
+    def test_twelve_county_windows_take_at_most_twelve_solves(self, monkeypatch):
+        # 12 weekly windows of Poisson trip counts around one 87-node network
+        rng = np.random.default_rng(1)
+        base = random_irreducible_nonneg(rng, 87, density=0.3) * 40.0
+        np.fill_diagonal(base, 0.0)
+        stack = rng.poisson(7.0 * base, (12, 87, 87)) / 7.0
+        real_solve, shapes = np.linalg.solve, []
+
+        def solve(matrices, vectors):
+            shapes.append(matrices.shape)
+            return real_solve(matrices, vectors)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        out = balance_flows(stack, "scale")
+        assert 0 < len(shapes) <= 12
+        assert all(shape[0] <= 12 for shape in shapes)
+        colsum, rowsum = out.sum(axis=1), out.sum(axis=2)
+        assert np.abs(colsum - rowsum).max() < 1e-14 * colsum.max()
 
 
 class TestIntegrate:

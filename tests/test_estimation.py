@@ -32,6 +32,7 @@ from helpers import (
     random_params,
     random_state,
     regression_by_phi_rows,
+    write_gravity_trips,
 )
 
 
@@ -376,11 +377,28 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_import_leaves_scipy_sparse_unloaded():
+def test_import_leaves_scipy_sparse_unloaded(tmp_path, five_node):
     # only graph algorithms need scipy.sparse; loading trips or simulating does not
+    net, params = five_node
+    ids, pops = net.node_ids, tmp_path / "pop.csv"
+    pops.write_text("node_id,population\n" + "".join(
+        f"{i},{p!r}\n" for i, p in zip(ids, net.populations.tolist())))
+    write_gravity_trips(tmp_path / "trips.csv", net, seed=2)
+    (tmp_path / "params.csv").write_text("node_id,beta,sigma,delta,alpha\n" + "".join(
+        f"{i},{b!r},{s!r},{d!r},{a!r}\n" for i, b, s, d, a in zip(
+            ids, params.beta.tolist(), params.sigma.tolist(), params.delta.tolist(),
+            params.alpha.tolist())))
     src = os.path.dirname(os.path.dirname(epiflows.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, epiflows, epiflows.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    probe = """import sys, epiflows, epiflows.cli
+loaded = ['scipy.sparse' in sys.modules]
+ids, pops = epiflows.load_populations('pop.csv')
+epiflows.load_flows('trips.csv', ids, pops)
+loaded.append('scipy.sparse' in sys.modules)
+code = epiflows.cli.main(['simulate', '--populations', 'pop.csv', '--flows', 'trips.csv',
+                          '--params', 'params.csv', '--initial', 'seeded',
+                          '--seed-node', ids[0], '--steps', '5', '--out-dir', 'out'])
+print(code, *loaded, 'scipy.sparse' in sys.modules)"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split()[-4:] == ["0", "False", "False", "False"]

@@ -64,6 +64,12 @@ class TestLoadPopulations:
         with pytest.raises(ParseError, match=r"pop\.csv:4: duplicate node_id 'a'"):
             load_populations(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_population_names_its_line(self, tmp_path, cell):
+        p = write(tmp_path / "pop.csv", f"node_id,population\na,10\nb,{cell}\n")
+        with pytest.raises(ParseError, match=rf"pop\.csv:3: bad population '{cell}'"):
+            load_populations(p)
+
     def test_missing_header(self, tmp_path):
         p = write(tmp_path / "pop.csv", "a,10\nb,20\n")
         with pytest.raises(ParseError):
@@ -128,6 +134,14 @@ class TestLoadFlows:
                   "date,from_id,to_id,trips\n2020-03-01,a,b,5\n")
         with pytest.raises(NoConvergence):
             load_flows(p, ("a", "b"), np.array([10.0, 10.0]), aggregation_days=1)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_trips_name_their_line(self, tmp_path, cell):
+        # nan passes the sign check, and balancing would see a one-way node
+        p = write(tmp_path / "flows.csv", "date,from_id,to_id,trips\n"
+                  f"2020-03-01,a,b,5\n2020-03-01,b,a,{cell}\n")
+        with pytest.raises(ParseError, match=rf"flows\.csv:3: bad trips value '{cell}'"):
+            load_flows(p, ("a", "b"), np.array([100.0, 100.0]))
 
     def test_partial_final_window(self, tmp_path):
         rows = ["date,from_id,to_id,trips"]
@@ -200,6 +214,13 @@ class TestCaseSeries:
                 "a,2020-03-01,1", "a,2020-03-02,2", "a,2020-03-01,3"]
         p = write(tmp_path / "cases.csv", "\n".join(rows) + "\n")
         with pytest.raises(ParseError, match=r"cases\.csv:4: duplicate entry for 'a' on 2020-03-01"):
+            load_cases(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_count_names_its_line(self, tmp_path, cell):
+        rows = ["node_id,date,cumulative_cases", "a,2020-03-01,0", f"a,2020-03-02,{cell}"]
+        p = write(tmp_path / "cases.csv", "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=rf"cases\.csv:3: bad case count '{cell}'"):
             load_cases(p)
 
     def test_missing_day_named(self, tmp_path):

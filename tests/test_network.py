@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from epiflows import (
     is_strongly_connected,
     perturb_flows_balanced,
 )
+from epiflows import network
 from epiflows.errors import (
     BalanceViolation,
     DimensionMismatch,
@@ -22,7 +25,13 @@ from epiflows.errors import (
     ValidationError,
     WindowLargerThanSchedule,
 )
-from helpers import PROPERTY_SETTINGS, random_balanced_network, strongly_connected_oracle
+from helpers import (
+    PROPERTY_SETTINGS,
+    balanceable_stacks,
+    osborne_balance,
+    random_balanced_network,
+    strongly_connected_oracle,
+)
 
 
 def edge_network(mask):
@@ -113,6 +122,7 @@ class TestBuildNetwork:
             assert np.abs(net.coupling.sum(axis=1) - net.gamma).max() < 1e-12 * net.gamma.max()
 
 
+@pytest.mark.filterwarnings("error")
 class TestBalanceFlows:
     def test_symmetrize_mean(self):
         out = balance_flows([[0.0, 4.0], [2.0, 0.0]], method="symmetrize")
@@ -175,6 +185,69 @@ class TestBalanceFlows:
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             balance_flows(np.zeros((2, 2)), "midpoint")
+
+    def test_balances_where_osborne_runs_out_of_sweeps(self):
+        # two lopsided two-node cycles, joined one way by a flow of 3 and back
+        # by one of 1e-3: each of the oracle's sweeps gains too little
+        f = np.array([[0.0, 0.0, 0.0, 1.212],
+                      [2.996, 0.0, 233.806, 0.0],
+                      [0.0, 0.339, 0.0, 0.0],
+                      [479.846, 0.0, 1e-3, 0.0]])
+        with pytest.raises(NoConvergence):
+            osborne_balance(f[None])
+        out = balance_flows(f, "scale")
+        colsum, rowsum = out.sum(axis=0), out.sum(axis=1)
+        assert np.abs(colsum - rowsum).max() < 1e-10 * colsum.min()
+        # a diagonal similarity keeps the zero pattern and every 2-cycle product
+        assert np.array_equal(out > 0, f > 0)
+        assert np.allclose(out * out.T, f * f.T, rtol=1e-12, atol=0)
+
+    def test_graded_cycle_balances_to_its_geometric_mean(self):
+        # flows over 22 orders of magnitude make the Newton system singular to
+        # rounding unless a ridge keeps it strictly diagonally dominant
+        f = np.zeros((5, 5))
+        f[0, 3], f[1, 2], f[2, 4], f[3, 1], f[4, 0] = 9.2e14, 3.0e-8, 5.9e14, 17.0, 3.3e-4
+        out = balance_flows(f, "scale")
+        assert np.array_equal(out > 0, f > 0)
+        mean = np.exp(np.log(f[f > 0]).mean())
+        assert np.allclose(out[f > 0], mean, rtol=1e-14, atol=0)
+
+    def test_heavy_tailed_stack_balances_without_warnings(self):
+        # entries over 20 orders of magnitude reach the floor without a
+        # floating-point warning (the class turns every warning into an error)
+        rng = np.random.default_rng(4)
+        stack = rng.lognormal(0.0, 6.0, (6, 20, 20)) * (rng.random((6, 20, 20)) < 0.3)
+        stack[:, np.roll(np.arange(20), 1), np.arange(20)] = rng.lognormal(0.0, 6.0, (6, 20))
+        stack[:, np.arange(20), np.arange(20)] = 0.0
+        for o in balance_flows(stack, "scale"):
+            colsum, rowsum = o.sum(axis=0), o.sum(axis=1)
+            assert np.abs(colsum - rowsum).max() < 1e-14 * colsum.max()
+
+    def test_step_cap_reported_in_steps(self, monkeypatch):
+        monkeypatch.setattr(network, "SCALE_MAX_ITERATIONS", 1)
+        with pytest.raises(NoConvergence, match="within 1 steps"):
+            balance_flows([[0.0, 1.0], [4.0, 0.0]], "scale")
+
+    def test_isolated_and_separate_parts_stay_apart(self):
+        # node 2 has no flows; nodes {0, 1} and {3, 4} are two weak components
+        f = np.zeros((5, 5))
+        f[0, 1], f[1, 0], f[3, 4], f[4, 3] = 1.0, 9.0, 2.0, 8.0
+        out = balance_flows(f, "scale")
+        assert np.allclose(out[[0, 1, 3, 4], [1, 0, 4, 3]], [3.0, 3.0, 4.0, 4.0],
+                           rtol=1e-15, atol=0)
+        assert np.array_equal(out > 0, f > 0)
+
+
+@PROPERTY_SETTINGS
+@given(balanceable_stacks())
+def test_scale_matches_osborne_oracle(stack):
+    # outside TestBalanceFlows, whose "error" filter would also catch the
+    # warnings of hypothesis's own failure report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = balance_flows(stack, "scale")
+    assert np.array_equal(out > 0, stack > 0)
+    np.testing.assert_allclose(out, osborne_balance(stack), rtol=1e-13, atol=0)
 
 
 class TestConnectivity:
