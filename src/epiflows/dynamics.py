@@ -31,6 +31,8 @@ from .network import FlowNetwork, NetworkSchedule, as_schedule
 SIMPLEX_SUM_TOL = 1e-9
 CLAMP_EPS = 1e-12
 BLOWUP_EPS = 1e-6
+_BLOCK = 64  # RK4 steps between simplex checks
+_TWO = np.array(2.0)  # ufuncs take 0-d arrays faster than Python floats
 
 
 @dataclass(frozen=True)
@@ -172,17 +174,23 @@ class _Kernel:
     of R holds compartment c's per-node exit rate (beta x, sigma, delta,
     alpha); row 0 is refreshed from the state on each call. C hands each
     exit flux on around the cycle, so the local terms cancel per node. Holds
-    one n x n matrix and 4 x n rates, never a 4n x 4n operator.
+    one n x n matrix and three 4 x n arrays, never a 4n x 4n operator.
     """
 
     def __init__(self, params: EpidemicParams, network: FlowNetwork):
         self.a_t = np.ascontiguousarray((network.coupling - np.diag(network.gamma)).T)
         self.beta = params.beta
         self.rates = np.stack([params.beta, params.sigma, params.delta, params.alpha])
+        self.infection, self.flux, self.cycled = self.rates[0], *np.empty((2, *self.rates.shape))
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        self.rates[0] = self.beta * z[2]
-        return z @ self.a_t + _CYCLE @ (self.rates * z)
+    def __call__(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Rates at z; with ``out`` (4, n), the same products written into it."""
+        np.multiply(self.beta, z[2], self.infection)
+        if out is None:
+            return z @ self.a_t + _CYCLE @ (self.rates * z)
+        np.dot(z, self.a_t, out)  # as matmul's gemm, with less overhead per call
+        np.dot(_CYCLE, np.multiply(self.rates, z, self.flux), self.cycled)
+        return np.add(out, self.cycled, out)
 
     def left_product(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """w^T (M - Q) for a (4, n) weight w, with the rates frozen at each row
@@ -210,6 +218,18 @@ def _settle_onto_simplex(z: np.ndarray, t: float) -> np.ndarray:
     return z
 
 
+def _rk4_step(kernel, z: np.ndarray, out: np.ndarray, half, h, sixth, k1, k2, k3, k4):
+    """out = z + (h/6)(k1 + 2 k2 + 2 k3 + k4), operator by operator, with out as
+    each stage's input; half, h and sixth are 0-d arrays, k1..k4 buffers."""
+    kernel(z, k1)
+    kernel(np.add(z, np.multiply(k1, half, out), out), k2)
+    kernel(np.add(z, np.multiply(k2, half, out), out), k3)
+    kernel(np.add(z, np.multiply(k3, h, out), out), k4)
+    np.add(k1, np.multiply(k2, _TWO, k2), k2)
+    np.add(k2, np.multiply(k3, _TWO, k3), k2)
+    np.add(z, np.multiply(np.add(k2, k4, k2), sixth, k2), out)
+
+
 def integrate(
     state0: SystemState,
     params: EpidemicParams,
@@ -221,7 +241,11 @@ def integrate(
 
     The network is piecewise constant per schedule period and steps are
     truncated at period boundaries, so no step straddles a network change.
-    Stored states are clamped onto the simplex (see _settle_onto_simplex).
+    Steps run in place, and states are clamped onto the simplex (see
+    _settle_onto_simplex) by one check per _BLOCK steps run with warnings
+    off. A block with an entry outside [0, 1] or NaN is replayed from its
+    first state, with a check per step and stages by the plain kernel
+    expression, which gives the clamps, errors and warnings of a per-step loop.
     """
     schedule = as_schedule(schedule)
     _check_dims(state0, params, schedule.periods[0][1])
@@ -253,18 +277,23 @@ def integrate(
     times = np.concatenate([[0.0], *(grid for _, grid, _ in periods)])
     data = np.empty((len(times), 4, n))
     data[0] = state0.as_matrix()
-    z, k = data[0], 0
+    stages, k = tuple(np.empty((4, 4, n))), 0
     for net, grid, sizes in periods:
-        kernel = _Kernel(params, net)
-        for t, h in zip(grid.tolist(), sizes.tolist()):
-            k1 = kernel(z)
-            k2 = kernel(z + 0.5 * h * k1)
-            k3 = kernel(z + 0.5 * h * k2)
-            k4 = kernel(z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            z = _settle_onto_simplex(z, t)
-            k += 1
-            data[k] = z
+        kernel, sizes = _Kernel(params, net), sizes.tolist()
+        replay = lambda z, out: np.copyto(out, kernel(z))  # plain expression
+        scales = {h: tuple(map(np.array, (0.5 * h, h, h / 6.0))) for h in set(sizes)}
+        steps = [(t, scales[h]) for t, h in zip(grid.tolist(), sizes)]
+        for first in range(0, len(steps), _BLOCK):
+            block = steps[first : first + _BLOCK]
+            with np.errstate(all="ignore"):
+                for i, (_, scale) in enumerate(block, k):
+                    _rk4_step(kernel, data[i], data[i + 1], *scale, *stages)
+            stored = data[k + 1 : k + 1 + len(block)]
+            if not (stored.min() >= 0.0 and stored.max() <= 1.0):
+                for i, (t, scale) in enumerate(block, k):
+                    _rk4_step(replay, data[i], data[i + 1], *scale, *stages)
+                    data[i + 1] = _settle_onto_simplex(data[i + 1], t)
+            k += len(block)
 
     _validate_trajectory_data(data)
     return Trajectory(times=times, data=data, schedule=schedule)

@@ -187,7 +187,8 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
     on f(u) = sum_ij F_ij exp(u_j - u_i) (Cohen, Madry, Tsipras and Vladu
     2017), one batched solve per step for a whole stack. The worst relative
     imbalance must drop below 1e-10 within ``SCALE_MAX_ITERATIONS`` steps;
-    stepping goes on while it still falls, to the rounding floor.
+    stepping goes on while it still falls, down to 4n eps. Flows with a weak
+    component that is not strongly connected raise NoConvergence.
     """
     flows = np.asarray(flows, dtype=float)
     if flows.ndim not in (2, 3) or flows.shape[-1] != flows.shape[-2]:
@@ -203,16 +204,19 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
         raise ValidationError(f"unknown balance method {method!r}")
 
     stack = flows.reshape(-1, *flows.shape[-2:])
-    # similarity scaling preserves the zero pattern, so a node with outflow
-    # but no inflow (or vice versa) can never be balanced
-    has_out = stack.sum(axis=1) > 0
-    has_in = stack.sum(axis=2) > 0
-    if np.any(has_out != has_in):
-        window, bad = np.argwhere(has_out != has_in)[0]
-        raise NoConvergence(
-            f"node index {bad} has {'outflow' if has_out[window, bad] else 'inflow'} "
-            "only; scale balancing cannot converge"
-        )
+    # D^-1 F D keeps the zero pattern, and it balances exactly iff each weak
+    # component of the pattern is strongly connected
+    for pattern in stack > 0:
+        unseen, weak = np.ones(len(pattern), dtype=bool), pattern | pattern.T
+        while unseen.any():
+            root = int(np.argmax(unseen))
+            unseen &= ~_reach(weak, root)
+            one_way = _reach(pattern, root) ^ _reach(pattern.T, root)
+            if one_way.any():
+                raise NoConvergence(
+                    f"node index {np.argmax(one_way)} and node index {root} are joined one "
+                    "way only, so no diagonal scaling balances the flows"
+                )
     return _newton(stack).reshape(flows.shape)
 
 
@@ -235,7 +239,8 @@ def _newton(stack: np.ndarray) -> np.ndarray:
         better = (rel < SCALE_BALANCE_TOL) & (rel < lowest[todo])
         lowest[todo[better]] = rel[better]
         balanced[todo[better]] = scaled[better]
-        keep = better | (lowest[todo] == np.inf)  # done once it stops falling
+        # done at the rounding floor, or once it stops falling
+        keep = (better & (rel > rounding)) | (lowest[todo] == np.inf)
         todo, scaled = todo[keep], scaled[keep]
         if not len(todo):
             return balanced
@@ -268,18 +273,19 @@ def _newton(stack: np.ndarray) -> np.ndarray:
     )
 
 
+def _reach(adjacency: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the nodes reachable from start over the edges j -> i for which
+    adjacency[i, j] is truthy, by a breadth-first frontier search."""
+    seen = frontier = np.arange(len(adjacency)) == start
+    while frontier.any():
+        frontier = adjacency[:, frontier].any(axis=1) & ~seen
+        seen |= frontier
+    return seen
+
+
 def _digraph_strongly_connected(adjacency: np.ndarray) -> bool:
     """adjacency[i, j] truthy means an edge j -> i exists."""
-    if adjacency.shape[0] <= 1:
-        return True
-    # scipy.sparse loads here, so commands that build no graph skip its import
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    count, _ = connected_components(
-        csr_matrix(adjacency), directed=True, connection="strong"
-    )
-    return count == 1
+    return bool(_reach(adjacency, 0).all() and _reach(adjacency.T, 0).all())
 
 
 def _shortest_paths(hops: np.ndarray, costs: np.ndarray, source: int) -> np.ndarray:

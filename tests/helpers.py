@@ -12,7 +12,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from epiflows import EpidemicParams, SystemState, balance_flows, build_network
+from epiflows.dynamics import _Kernel, _settle_onto_simplex, _validate_trajectory_data
 from epiflows.errors import (
+    DimensionMismatch,
     EmptySchedule,
     NoConvergence,
     ParseError,
@@ -20,7 +22,12 @@ from epiflows.errors import (
     ValidationError,
 )
 from epiflows.estimation import RANK_RATIO_TOL
-from epiflows.network import SCALE_BALANCE_TOL, NetworkSchedule, _worst_imbalance
+from epiflows.network import (
+    SCALE_BALANCE_TOL,
+    NetworkSchedule,
+    _worst_imbalance,
+    as_schedule,
+)
 
 # property tests draw the same examples on every run
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -206,6 +213,51 @@ def q_and_m_by_blocks(state, params, network):
         ]
     )
     return Q, M
+
+
+def integrate_by_steps(state0, params, schedule, t_end, step=0.01):
+    """The RK4 loop integrate ran before it stepped in place: a fresh array
+    per operation and _settle_onto_simplex after every step. Returns
+    (times, data) and raises what integrate raises."""
+    schedule = as_schedule(schedule)
+    if not (state0.n == params.n == schedule.periods[0][1].n):
+        raise DimensionMismatch("state, params and network must share one node count")
+    if not 0.0 < step < math.inf:
+        raise ValidationError("step must be finite and positive")
+    if not 0.0 <= t_end < math.inf:
+        raise ValidationError("t_end must be finite and nonnegative")
+    if t_end > schedule.total_duration:
+        raise ValidationError(f"schedule covers [0, {schedule.total_duration}] but t_end={t_end}")
+    periods, start = [], 0.0
+    for duration, net in schedule.periods:
+        if start >= t_end:
+            break
+        end = min(start + duration, t_end)
+        tol = 1e-12 * max(1.0, end)
+        if start < end - tol:
+            grid = start + step * np.arange(1, math.ceil((end - start) / step) + 1)
+            grid = np.append(grid[grid < end - tol], end)
+            sizes = np.diff(grid, prepend=start)
+            sizes[:-1] = step
+            periods.append((net, grid, sizes))
+        start = end
+    times = np.concatenate([[0.0], *(grid for _, grid, _ in periods)])
+    data = np.empty((len(times), 4, state0.n))
+    data[0] = state0.as_matrix()
+    z, k = data[0], 0
+    for net, grid, sizes in periods:
+        kernel = _Kernel(params, net)
+        for t, h in zip(grid.tolist(), sizes.tolist()):
+            k1 = kernel(z)
+            k2 = kernel(z + 0.5 * h * k1)
+            k3 = kernel(z + 0.5 * h * k2)
+            k4 = kernel(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            z = _settle_onto_simplex(z, t)
+            k += 1
+            data[k] = z
+    _validate_trajectory_data(data)
+    return times, data
 
 
 def osborne_balance(stack, max_sweeps=10_000):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from epiflows import (
     step_euler,
     write_trajectory_csv,
 )
-from epiflows import estimation, stability
+from epiflows import dynamics, estimation, stability
 from epiflows.errors import (
     InvalidState,
     ParseError,
@@ -36,11 +37,12 @@ from epiflows.errors import (
     StepTooLarge,
     ValidationError,
 )
-from epiflows.dynamics import Trajectory, _Kernel
+from epiflows.dynamics import _BLOCK, Trajectory, _Kernel
 from helpers import (
     PROPERTY_SETTINGS,
     balanced_systems,
     dense_rates,
+    integrate_by_steps,
     q_and_m_by_blocks,
     random_balanced_network,
     random_irreducible_nonneg,
@@ -179,6 +181,67 @@ class TestKernel:
         assert arrays and max(a.size for a in arrays) <= n * n
 
 
+def clamped_node():
+    """One isolated node at s = 1 with r = 4e-12: a first RK4 step of size
+    0.01 to 0.2 lifts s above 1 by less than CLAMP_EPS, so a clamp fires."""
+    net = build_network(["solo"], [1000.0], np.zeros((1, 1)))
+    params = EpidemicParams(alpha=np.array([0.9]), beta=np.array([0.5]),
+                            sigma=np.array([0.4]), delta=np.array([0.3]))
+    state = SystemState(s=np.array([1.0]), e=np.array([0.0]),
+                        x=np.array([0.0]), r=np.array([4e-12]))
+    return net, params, state
+
+
+def too_large_step_node():
+    """test_step_too_large_detected's system: rates of 30 at step 1."""
+    net = build_network(["solo"], [1000.0], np.zeros((1, 1)))
+    params = EpidemicParams(
+        alpha=np.array([0.1]), beta=np.array([30.0]),
+        sigma=np.array([30.0]), delta=np.array([30.0]),
+    )
+    state = SystemState(s=np.array([0.6]), e=np.array([0.1]),
+                        x=np.array([0.3]), r=np.array([0.0]))
+    return net, params, state
+
+
+class TestIntegrateCost:
+    """Kernel evaluations and simplex checks an RK4 run makes."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {"kernel": 0, "settle": 0}
+        real_call, real_settle = _Kernel.__call__, dynamics._settle_onto_simplex
+
+        def call(kernel, z, out=None):
+            counts["kernel"] += 1
+            return real_call(kernel, z, out)
+
+        def settle(z, t):
+            counts["settle"] += 1
+            return real_settle(z, t)
+
+        monkeypatch.setattr(_Kernel, "__call__", call)
+        monkeypatch.setattr(dynamics, "_settle_onto_simplex", settle)
+        return counts
+
+    def test_in_range_run_evaluates_four_stages_and_settles_nothing(
+        self, counted, five_node, five_node_start
+    ):
+        net, params = five_node
+        steps = 2 * _BLOCK + 7
+        integrate(five_node_start, params, net, t_end=steps * 0.25, step=0.25)
+        assert counted == {"kernel": 4 * steps, "settle": 0}
+
+    def test_clamped_block_is_replayed_with_a_settle_per_step(self, counted):
+        # the first block clamps and is run twice; by the second, r has
+        # flowed into s and the steps stay in range
+        net, params, state = clamped_node()
+        steps = _BLOCK + 10
+        traj = integrate(state, params, net, t_end=steps * 0.1, step=0.1)
+        assert counted == {"kernel": 4 * (steps + _BLOCK), "settle": _BLOCK}
+        assert traj.data[:, 0].max() <= 1.0
+
+
 class TestSpectrumCost:
     """Which dense eigenproblems the stability layer solves, by shape."""
 
@@ -259,7 +322,7 @@ class TestEstimationCost:
 class TestBalanceCost:
     """How many batched solves one trips load's balancing makes."""
 
-    def test_twelve_county_windows_take_at_most_twelve_solves(self, monkeypatch):
+    def test_twelve_county_windows_take_at_most_four_solves(self, monkeypatch):
         # 12 weekly windows of Poisson trip counts around one 87-node network
         rng = np.random.default_rng(1)
         base = random_irreducible_nonneg(rng, 87, density=0.3) * 40.0
@@ -273,10 +336,15 @@ class TestBalanceCost:
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         out = balance_flows(stack, "scale")
-        assert 0 < len(shapes) <= 12
+        # every window is at the rounding floor after 4 steps; running on while
+        # the rounding noise happened to fall took 8
+        assert 0 < len(shapes) <= 4
         assert all(shape[0] <= 12 for shape in shapes)
         colsum, rowsum = out.sum(axis=1), out.sum(axis=2)
         assert np.abs(colsum - rowsum).max() < 1e-14 * colsum.max()
+        # flows at the floor come back as they are, without a solve
+        shapes.clear()
+        assert np.array_equal(balance_flows(out, "scale"), out) and shapes == []
 
 
 class TestIntegrate:
@@ -307,13 +375,7 @@ class TestIntegrate:
         assert 12.0 < coarse / fine < 20.0
 
     def test_step_too_large_detected(self):
-        net = build_network(["solo"], [1000.0], np.zeros((1, 1)))
-        params = EpidemicParams(
-            alpha=np.array([0.1]), beta=np.array([30.0]),
-            sigma=np.array([30.0]), delta=np.array([30.0]),
-        )
-        state = SystemState(s=np.array([0.6]), e=np.array([0.1]),
-                            x=np.array([0.3]), r=np.array([0.0]))
+        net, params, state = too_large_step_node()
         with pytest.raises(StepTooLarge):
             integrate(state, params, net, t_end=10.0, step=1.0)
 
@@ -359,6 +421,81 @@ class TestIntegrate:
         for t_end in (np.inf, np.nan):
             with pytest.raises(ValidationError):
                 integrate(state, params, net, t_end=t_end)
+
+
+def assert_integrate_matches_oracle(state, params, schedule, t_end, step):
+    """integrate and the per-step loop it replaced give array_equal times and
+    states, or raise the same error with the same message; integrate's
+    unchecked blocks let no floating-point warning escape."""
+    args = (state, params, schedule, t_end, step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = integrate_by_steps(*args)
+        except (InvalidState, StepTooLarge) as exc:
+            with pytest.raises(type(exc)) as got:
+                integrate(*args)
+            assert str(got.value) == str(exc)
+            return exc
+        traj = integrate(*args)
+    assert np.array_equal(traj.times, want[0])
+    assert np.array_equal(traj.data, want[1])
+    return traj
+
+
+class TestIntegrateOracle:
+    """integrate is bit-identical to integrate_by_steps (tests/helpers.py)."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 3).flatmap(lambda p: balanced_systems(periods=p)),
+        st.lists(st.floats(0.05, 1.5), min_size=3, max_size=3),
+        st.floats(0.005, 0.2),
+        st.floats(0.3, 1.0),
+    )
+    def test_matches_oracle_over_schedules(self, system, durations, step, horizon):
+        networks, params, state = system
+        schedule = NetworkSchedule(periods=tuple(zip(durations, networks)))
+        assert_integrate_matches_oracle(state, params, schedule,
+                                        horizon * schedule.total_duration, step)
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(), st.floats(0.01, 0.2), st.floats(2e-12, 4e-12))
+    def test_matches_oracle_where_clamps_fire(self, system, step, r):
+        # every node at s = 1 with a sliver of r: steps lift s past 1 by less
+        # than CLAMP_EPS, so blocks are replayed with their clamps
+        (net,), params, _ = system
+        ones, zeros = np.ones(net.n), np.zeros(net.n)
+        state = SystemState(s=ones, e=zeros, x=zeros, r=np.full(net.n, r))
+        assert_integrate_matches_oracle(state, params, net, (_BLOCK + 9) * step, step)
+
+    def test_run_across_block_boundaries(self, five_node, five_node_start):
+        net, params = five_node
+        traj = assert_integrate_matches_oracle(five_node_start, params, net,
+                                               2.5 * _BLOCK * 0.01, 0.01)
+        assert len(traj) == int(2.5 * _BLOCK) + 1
+
+    def test_replay_warns_as_the_per_step_loop(self):
+        # rates of 1e308 overflow in the first step: the unchecked pass stays
+        # silent, and the replay warns as the oracle does, operation by operation
+        net = build_network(["solo"], [1000.0], np.zeros((1, 1)))
+        params = EpidemicParams(*(np.array([1e308]),) * 4)
+        state = SystemState(s=np.array([0.5]), e=np.array([0.2]),
+                            x=np.array([0.2]), r=np.array([0.1]))
+
+        def warned(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run(state, params, net, 0.03, 0.01)
+            return [(w.category, str(w.message)) for w in caught]
+
+        got, want = warned(integrate), warned(integrate_by_steps)
+        assert got == want and any("matmul" in message for _, message in want)
+
+    def test_step_too_large_same_time_and_message(self):
+        net, params, state = too_large_step_node()
+        exc = assert_integrate_matches_oracle(state, params, net, 10.0, 1.0)
+        assert isinstance(exc, StepTooLarge) and "t=1;" in str(exc)
 
 
 class TestStepEuler:

@@ -378,7 +378,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_scipy_sparse_unloaded(tmp_path, five_node):
-    # only graph algorithms need scipy.sparse; loading trips or simulating does not
+    # only effective distances need scipy.sparse; loading trips, simulating,
+    # the stability report and data validation do not
     net, params = five_node
     ids, pops = net.node_ids, tmp_path / "pop.csv"
     pops.write_text("node_id,population\n" + "".join(
@@ -398,7 +399,11 @@ loaded.append('scipy.sparse' in sys.modules)
 code = epiflows.cli.main(['simulate', '--populations', 'pop.csv', '--flows', 'trips.csv',
                           '--params', 'params.csv', '--initial', 'seeded',
                           '--seed-node', ids[0], '--steps', '5', '--out-dir', 'out'])
+loaded.append('scipy.sparse' in sys.modules)
+files = ['--populations', 'pop.csv', '--flows', 'trips.csv', '--out-dir', 'out']
+code += epiflows.cli.main(['stability', '--params', 'params.csv', '--endemic', *files])
+code += epiflows.cli.main(['validate-data', *files])
 print(code, *loaded, 'scipy.sparse' in sys.modules)"""
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.split()[-4:] == ["0", "False", "False", "False"]
+    assert out.stdout.split()[-5:] == ["0", "False", "False", "False", "False"]

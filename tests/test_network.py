@@ -30,6 +30,7 @@ from helpers import (
     balanceable_stacks,
     osborne_balance,
     random_balanced_network,
+    reachable_closure,
     strongly_connected_oracle,
 )
 
@@ -228,6 +229,16 @@ class TestBalanceFlows:
         with pytest.raises(NoConvergence, match="within 1 steps"):
             balance_flows([[0.0, 1.0], [4.0, 0.0]], "scale")
 
+    def test_one_way_bridge_between_cycles_rejected(self):
+        # two 2-cycles joined by the one-way bridge 1 -> 2: every node has
+        # inflow and outflow, but only shrinking the bridge to 0 balances it
+        f = np.zeros((4, 4))
+        f[0, 1] = f[1, 0] = f[2, 3] = f[3, 2] = f[2, 1] = 1.0
+        with pytest.raises(NoConvergence, match="node index 2 and node index 0"):
+            balance_flows(f, "scale")
+        with pytest.raises(NoConvergence, match="one way only"):
+            balance_flows(np.stack([f.T + f, f]), "scale")
+
     def test_isolated_and_separate_parts_stay_apart(self):
         # node 2 has no flows; nodes {0, 1} and {3, 4} are two weak components
         f = np.zeros((5, 5))
@@ -248,6 +259,24 @@ def test_scale_matches_osborne_oracle(stack):
         out = balance_flows(stack, "scale")
     assert np.array_equal(out > 0, stack > 0)
     np.testing.assert_allclose(out, osborne_balance(stack), rtol=1e-13, atol=0)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 7).flatmap(edge_masks), st.integers(0, 2**32 - 1))
+def test_scale_balances_exactly_when_weak_components_are_strong(mask, seed):
+    # a diagonal similarity balances F exactly iff every weak component of its
+    # pattern is strongly connected; nodes i, j share a weak component iff the
+    # closure of the symmetrised pattern joins them
+    flows = np.where(mask, np.random.default_rng(seed).lognormal(0.0, 1.0, mask.shape), 0.0)
+    weak, strong = reachable_closure(mask | mask.T), reachable_closure(mask)
+    if np.array_equal(weak, strong & strong.T):
+        out = balance_flows(flows, "scale")
+        colsum, rowsum = out.sum(axis=0), out.sum(axis=1)
+        assert np.abs(colsum - rowsum).max() <= 1e-10 * colsum.max(initial=0.0)
+        assert np.array_equal(out > 0, mask)
+    else:
+        with pytest.raises(NoConvergence):
+            balance_flows(flows, "scale")
 
 
 class TestConnectivity:
