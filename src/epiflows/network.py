@@ -205,18 +205,20 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
 
     stack = flows.reshape(-1, *flows.shape[-2:])
     # D^-1 F D keeps the zero pattern, and it balances exactly iff each weak
-    # component of the pattern is strongly connected
+    # component of the pattern is strongly connected; where a root's forward
+    # and backward reach agree, they are its whole weak component
     for pattern in stack > 0:
-        unseen, weak = np.ones(len(pattern), dtype=bool), pattern | pattern.T
+        unseen = np.ones(len(pattern), dtype=bool)
         while unseen.any():
             root = int(np.argmax(unseen))
-            unseen &= ~_reach(weak, root)
-            one_way = _reach(pattern, root) ^ _reach(pattern.T, root)
+            forward = _reach(pattern, root)
+            one_way = forward ^ _reach(pattern.T, root)
             if one_way.any():
                 raise NoConvergence(
                     f"node index {np.argmax(one_way)} and node index {root} are joined one "
                     "way only, so no diagonal scaling balances the flows"
                 )
+            unseen &= ~forward
     return _newton(stack).reshape(flows.shape)
 
 
