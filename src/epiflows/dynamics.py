@@ -18,7 +18,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._csvio import indices, numbers, read_columns
+from ._csvio import distinct, indices, numbers, read_columns
 from .errors import (
     DimensionMismatch,
     InvalidState,
@@ -39,8 +39,9 @@ _TWO = np.array(2.0)  # RK4 scalars are 0-d arrays: see integrate
 class EpidemicParams:
     """Per-node rates: immunity loss, infection, incubation, healing.
 
-    With ``strict`` (the default) every rate must be strictly positive;
-    estimation results may carry zeros and use ``strict=False``.
+    With ``strict`` (the default) every rate must be strictly positive.
+    Estimation results use ``strict=False``, which takes any finite rates:
+    an unconstrained fit may be zero or negative.
     """
 
     alpha: np.ndarray
@@ -61,8 +62,6 @@ class EpidemicParams:
             raise ValidationError("rates must be finite")
         if self.strict and np.any(stacked <= 0):
             raise ValidationError("rates must be strictly positive")
-        if not self.strict and np.any(stacked < 0):
-            raise ValidationError("rates must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -204,11 +203,14 @@ class _Kernel:
 def _settle_onto_simplex(z: np.ndarray, t: float) -> np.ndarray:
     """Clamp rounding-scale boundary violations and renormalize node sums.
 
-    Only excursions within CLAMP_EPS of the boundary are absorbed; entries
-    below -BLOWUP_EPS raise StepTooLarge, and anything in between is left to
-    trip the trajectory validation rather than being masked.
+    Only excursions within CLAMP_EPS of the boundary are absorbed; a NaN
+    entry raises StateLeftSimplex, entries below -BLOWUP_EPS raise
+    StepTooLarge, and anything in between is left to trip the trajectory
+    validation rather than being masked.
     """
     low, high = z.min(), z.max()
+    if math.isnan(low):  # min and max carry any NaN
+        raise StateLeftSimplex(f"RK4 step at t={t:g} produced NaN")
     if low < -BLOWUP_EPS:
         raise StepTooLarge(
             f"state entry {low:.3e} at t={t:g}; reduce the step size"
@@ -303,7 +305,7 @@ def integrate(
 
 
 def _validate_trajectory_data(data: np.ndarray):
-    if data.min() < 0 or data.max() > 1:
+    if not (data.min() >= 0 and data.max() <= 1):  # NaN fails both
         raise InvalidState("trajectory left [0, 1]")
     worst = float(np.abs(data.sum(axis=1) - 1).max())
     if worst > SIMPLEX_SUM_TOL:
@@ -417,10 +419,10 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     time_cells, node_cells, *value_cells = read_columns(
         path, names, ValidationError(f"trajectory CSV needs columns {sorted(names)}")
     )
-    if not node_cells:
+    if not len(node_cells):
         raise ValidationError("trajectory CSV is empty")
     stamps, *values = numbers(path, [time_cells, *value_cells], ("time", "s", "e", "x", "r"))
-    node_ids = tuple(dict.fromkeys(node_cells))
+    node_ids = distinct(node_cells)
     node = indices(node_cells, {nid: i for i, nid in enumerate(node_ids)})
     times, slot = np.unique(stamps, return_inverse=True)
     data = np.full((len(times), 4, len(node_ids)), np.nan)

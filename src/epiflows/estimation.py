@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import numbers, read_columns
+from ._csvio import numbers, read_columns, text
 from .dynamics import _CYCLE, EpidemicParams, SystemState, Trajectory
 from .errors import DimensionMismatch, ScheduleMismatch, ValidationError
 from .network import FlowNetwork, NetworkSchedule
@@ -285,6 +285,7 @@ def read_params_csv(path) -> tuple[tuple[str, ...], EpidemicParams]:
         ValidationError(f"params CSV needs columns {sorted(('node_id', *rates))}"),
     )
     beta, sigma, delta, alpha = numbers(path, cells, rates)
-    if not node_ids:
+    if not len(node_ids):
         raise ValidationError("params CSV is empty")
-    return tuple(node_ids), EpidemicParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta)
+    return (tuple(map(text, node_ids.tolist())),
+            EpidemicParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import decode, indices, raise_first, read_columns, repeated
+from ._csvio import decode, distinct, indices, raise_first, read_columns, repeated, text
 from .errors import (
     CasesExceedPopulation,
     EmptySchedule,
@@ -93,13 +93,13 @@ def load_populations(path) -> tuple[tuple[str, ...], np.ndarray]:
     ids, cells = read_columns(path, names, _header_error(path, names))
     pops, bad = decode(cells)
     raise_first(path, [
-        (repeated(ids), lambda k, where: ParseError(f"{where}: duplicate node_id {ids[k]!r}")),
-        (bad, lambda k, where: ParseError(f"{where}: bad population {cells[k]!r}")),
+        (repeated(ids), lambda k, where: ParseError(f"{where}: duplicate node_id {text(ids[k])!r}")),
+        (bad, lambda k, where: ParseError(f"{where}: bad population {text(cells[k])!r}")),
         (pops <= 0, lambda k, where: NonPositivePopulation(f"{where}: population must be positive")),
     ])
-    if not ids:
+    if not len(ids):
         raise ParseError(f"{path}: no data rows")
-    return tuple(ids), pops
+    return distinct(ids), pops
 
 
 def _window_sums(path, node_ids, aggregation_days: int) -> tuple[np.ndarray, np.ndarray]:
@@ -112,10 +112,10 @@ def _window_sums(path, node_ids, aggregation_days: int) -> tuple[np.ndarray, np.
     src, dst = indices(froms, index), indices(tos, index)
     trips, bad_trips = decode(cells)
     raise_first(path, [
-        (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {dates[k]!r}")),
-        (src < 0, lambda k, where: UnknownNode(f"{where}: unknown node {froms[k]!r}")),
-        (dst < 0, lambda k, where: UnknownNode(f"{where}: unknown node {tos[k]!r}")),
-        (bad_trips, lambda k, where: ParseError(f"{where}: bad trips value {cells[k]!r}")),
+        (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {text(dates[k])!r}")),
+        (src < 0, lambda k, where: UnknownNode(f"{where}: unknown node {text(froms[k])!r}")),
+        (dst < 0, lambda k, where: UnknownNode(f"{where}: unknown node {text(tos[k])!r}")),
+        (bad_trips, lambda k, where: ParseError(f"{where}: bad trips value {text(cells[k])!r}")),
         (trips < 0, lambda k, where: ParseError(f"{where}: trips must be nonnegative")),
     ])
     travel = src != dst
@@ -162,17 +162,18 @@ def load_cases(path) -> CaseSeries:
     ids, dates, cells = read_columns(path, names, _header_error(path, names))
     day, bad_date = decode(dates, _ordinal, np.int64)
     counts, bad_count = decode(cells)
+    node_ids = distinct(ids)
+    node = indices(ids, {nid: i for i, nid in enumerate(node_ids)})
     raise_first(path, [
-        (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {dates[k]!r}")),
-        (bad_count, lambda k, where: ParseError(f"{where}: bad case count {cells[k]!r}")),
-        (repeated(list(zip(ids, day.tolist()))), lambda k, where: ParseError(
-            f"{where}: duplicate entry for {ids[k]!r} on "
+        (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {text(dates[k])!r}")),
+        (bad_count, lambda k, where: ParseError(f"{where}: bad case count {text(cells[k])!r}")),
+        # one integer per (node, day) pair
+        (repeated(node * (np.max(day, initial=0) + 1) + day), lambda k, where: ParseError(
+            f"{where}: duplicate entry for {text(ids[k])!r} on "
             f"{datetime.date.fromordinal(int(day[k]))}")),
     ])
-    if not ids:
+    if not len(ids):
         raise ParseError(f"{path}: no data rows")
-    node_ids = tuple(dict.fromkeys(ids))
-    node = indices(ids, {nid: i for i, nid in enumerate(node_ids)})
     days, slot = np.unique(day, return_inverse=True)
     present = np.zeros((len(node_ids), len(days)), dtype=bool)
     present[node, slot] = True

@@ -197,6 +197,19 @@ class TestEstimate:
         assert code == 0
         assert "not identifiable" in capsys.readouterr().out
 
+    def test_pseudo_inverse_reports_negative_fits(self, tmp_path):
+        # run backwards in time, the epidemic fits negative rates; the
+        # unconstrained solver reports them rather than rejecting its own fit
+        net, params = five_node_system()
+        traj = simulate_discrete(five_node_initial_state(), params, net, steps=30, h=1.0)
+        obs = tmp_path / "obs.csv"
+        write_trajectory_csv(obs, type(traj)(times=traj.times, data=traj.data[::-1].copy(),
+                                             schedule=traj.schedule))
+        code = run("estimate", "--observations", str(obs), "--demo", "five-node",
+                   "--solver", "pseudo_inverse", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert min(row["beta"] for row in read_json(tmp_path / "estimate.json")["nodes"]) < 0
+
 
 @pytest.mark.parametrize("command", ["estimate", "predict"])
 def test_non_finite_observation_time_exits_2(tmp_path, capsys, command):

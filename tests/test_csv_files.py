@@ -1,5 +1,6 @@
 """The column-wise CSV readers and the trajectory writer against the row-loop
 versions they replaced (tests/helpers.py), on random and malformed files."""
+import codecs
 import csv
 import json
 import os
@@ -13,10 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import epiflows
+from epiflows import _csvio
 from epiflows import (
     Trajectory,
     build_network,
     load_flows,
+    load_populations,
     read_trajectory_csv,
     write_trajectory_csv,
 )
@@ -153,6 +156,167 @@ class TestFlowFiles:
             window_sums_by_rows(path, NODE_IDS, 7)
 
 
+# ---------------------------------------------- quote-free files, numpy path
+
+PLAIN_IDS = ("a", "b c", " f", "g", "\u00e9", "h.i")  # no cell here needs quoting
+
+
+@st.composite
+def plain_files(draw, header, records, faults):
+    """The bytes of a quote-free CSV: header and records in a drawn column
+    order with extra and repeated columns, LF or CRLF, blank lines, a
+    missing final newline, and up to two rows spoiled by the named faults
+    (each maps a row and the column order to a strategy for the spoiled row)."""
+    extras = draw(st.lists(st.sampled_from(["note", "source", header[0]]), max_size=2))
+    columns = draw(st.permutations(list(header) + extras))
+    rows = [[record.get(name, "x y") for name in columns] for record in records]
+    # a repeated name reads its last column, so earlier copies get filler
+    last = {name: k for k, name in enumerate(columns)}
+    rows = [[cell if last[name] == k else "z" for k, (name, cell) in enumerate(zip(columns, row))]
+            for row in rows]
+    for _ in range(draw(st.integers(0, 2)) if faults else 0):
+        k, name = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(sorted(faults)))
+        rows[k] = draw(faults[name](rows[k], columns))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(columns)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        blank = st.sampled_from(["", "\r"] if newline == "\n" else [""])  # "\r" + "\n" is blank too
+        lines.insert(draw(st.integers(1, len(lines))), draw(blank))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text.encode()
+
+
+def cut_row(row, columns):
+    return st.integers(1, len(row) - 1).map(lambda k: row[:k])
+
+
+def long_row(row, columns):
+    return st.just(row + ["extra"])
+
+
+def lone_cr(row, columns):
+    return st.integers(1, len(row) - 1).map(
+        lambda k: row[:k - 1] + [row[k - 1] + "\r" + row[k]] + row[k + 1:])
+
+
+def bad_cell(name, cells):
+    def fault(row, columns):
+        k = max(i for i, column in enumerate(columns) if column == name)
+        return st.sampled_from(cells).map(lambda cell: row[:k] + [cell] + row[k + 1:])
+    return fault
+
+
+plain_trips = st.one_of(
+    st.integers(0, 500).map(str),
+    st.floats(0.0, 1e4, allow_nan=False).map(repr),
+    st.sampled_from(["0", "1e2", " 7 ", "3.5", "\u00a07", "1_0"]),
+)
+FLOW_CELL_FAULTS = {
+    "short": cut_row, "long": long_row, "cr": lone_cr,
+    "date": bad_cell("date", ["2020-02-30", "03/01/2020", "", "x"]),
+    "number": bad_cell("trips", ["abc", "", "--1", "nan", "inf"]),
+    "negative": bad_cell("trips", ["-3"]),
+    "node": bad_cell("from_id", ["zz", ""]),
+}
+
+
+def flow_records(ids):
+    return st.lists(st.fixed_dictionaries({
+        "date": st.sampled_from(DATES), "from_id": st.sampled_from(ids),
+        "to_id": st.sampled_from(ids), "trips": plain_trips,
+    }), min_size=1, max_size=40)
+
+
+def both_paths(data, names):
+    """read_columns' two paths on one file's bytes: (numpy, csv.reader)."""
+    data += bytes(_csvio._PAD)
+    return _csvio._split(data, names, ParseError("header")), _csvio._read_rows(
+        "file", data, names, ParseError("header"))
+
+
+class TestQuoteFreeFiles:
+    """Files the numpy path reads: the same arrays and errors as the row
+    loops, and the same columns as csv.reader."""
+
+    @PROPERTY_SETTINGS
+    @given(st.data(), st.integers(1, 8))
+    def test_window_sums_and_schedule_match_row_loop(self, tmp_path_factory, data, days):
+        header = ("date", "from_id", "to_id", "trips")
+        raw = data.draw(plain_files(header, data.draw(flow_records(PLAIN_IDS)), {}))
+        path = tmp_path_factory.mktemp("flows") / "flows.csv"
+        path.write_bytes(raw)
+        fast, slow = both_paths(raw, header)
+        assert fast is not None
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(fast, slow))
+        got, got_error = outcome(lambda: _window_sums(path, PLAIN_IDS, days))
+        want, want_error = outcome(lambda: window_sums_by_rows(path, PLAIN_IDS, days))
+        assert got_error == want_error
+        if want is not None:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        populations = np.full(len(PLAIN_IDS), 1e4)
+        got, got_error = outcome(lambda: load_flows(path, PLAIN_IDS, populations, days))
+        want, want_error = outcome(lambda: load_flows_by_rows(path, PLAIN_IDS, populations, days))
+        assert got_error == want_error
+        if want is not None:
+            assert [d for d, _ in got.periods] == [d for d, _ in want.periods]
+            for (_, a), (_, b) in zip(got.periods, want.periods):
+                assert np.array_equal(a.flows, b.flows)
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_faults_fail_like_row_loop(self, tmp_path_factory, data):
+        header = ("date", "from_id", "to_id", "trips")
+        faults = data.draw(st.sets(st.sampled_from(sorted(FLOW_CELL_FAULTS)), min_size=1))
+        raw = data.draw(plain_files(header, data.draw(flow_records(PLAIN_IDS)),
+                                    {name: FLOW_CELL_FAULTS[name] for name in faults}))
+        path = tmp_path_factory.mktemp("flows") / "flows.csv"
+        path.write_bytes(raw)
+        fast, slow = both_paths(raw, header)
+        if fast is not None:
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(fast, slow))
+        _, got_error = outcome(lambda: _window_sums(path, PLAIN_IDS, 7))
+        _, want_error = outcome(lambda: window_sums_by_rows(path, PLAIN_IDS, 7))
+        assert got_error == want_error
+
+    @PROPERTY_SETTINGS
+    @given(st.data())
+    def test_trajectory_matches_row_loop(self, tmp_path_factory, data):
+        header = ("time", "node_id", "s", "e", "x", "r")
+        ids = data.draw(st.lists(st.sampled_from(PLAIN_IDS), min_size=1, max_size=4, unique=True))
+        times = data.draw(st.lists(st.floats(0.0, 50.0).map(repr), min_size=1, max_size=5,
+                                   unique=True))
+        values = st.one_of(st.floats(0.0, 1.0).map(repr), st.sampled_from([" 0.5 ", "1e-1"]))
+        records = [{"time": t, "node_id": nid, **{c: data.draw(values) for c in "sexr"}}
+                   for t in times for nid in ids]
+        records = data.draw(st.permutations(records))
+        raw = data.draw(plain_files(header, records, {}))
+        path = tmp_path_factory.mktemp("traj") / "traj.csv"
+        path.write_bytes(raw)
+        fast, slow = both_paths(raw, header)
+        assert fast is not None
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(fast, slow))
+        got, want = read_trajectory_csv(path), read_trajectory_by_rows(path)
+        assert got[1] == want[1]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
+
+    def test_ragged_and_lone_cr_files_take_csv_reader(self):
+        header = ("date", "from_id", "to_id", "trips")
+        for raw in (b"date,from_id,to_id,trips\n2020-03-01,a,g\n",
+                    b"date,from_id,to_id,trips\n2020-03-01,a,g,1,2\n",
+                    # one row long and one short: the comma count still fits
+                    b"date,from_id,to_id,trips\n2020-03-01,a,g,1,2\n2020-03-01,a,g\n",
+                    b"date,from_id,to_id,trips\r2020-03-01,a,g,1\r"):
+            assert both_paths(raw, header)[0] is None
+
+    def test_one_long_cell_is_not_padded_into_every_row(self):
+        # a 4 kB cell in a 1000-row column: an S array would hold 4 MB
+        raw = b"node_id,population\n" + b"".join(b"n%d,1\n" % k for k in range(999))
+        raw += b"x" * 4096 + b",1\n"
+        fast, slow = both_paths(raw, ("node_id", "population"))
+        assert fast is None and slow[0].dtype == object
+        assert slow[0][-1] == b"x" * 4096 and slow[1].dtype == "S8"
+
+
 def trajectories(max_times=6, max_nodes=4):
     @st.composite
     def build(draw):
@@ -268,6 +432,55 @@ def test_malformed_flow_file_exits_2_at_oracle_line(tmp_path, fault):
     result = run_cli(tmp_path, "validate-data", "--populations", str(tmp_path / "pop.csv"),
                      "--flows", str(flows))
     assert_json_error_at(result, flows, line)
+
+
+def write_populations(path, prefix, quoted):
+    """POPULATIONS behind ``prefix`` bytes; a quoted id sends the file
+    through csv.reader."""
+    text = POPULATIONS.replace("a,", '"a",') if quoted else POPULATIONS
+    path.write_bytes(prefix + text.encode())
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_invalid_utf8_exits_2_at_its_line(tmp_path, quoted):
+    populations = tmp_path / "pop.csv"
+    write_populations(populations, b"", quoted)
+    populations.write_bytes(populations.read_bytes().replace(b"c,", b"c\xff,"))
+    (tmp_path / "flows.csv").write_text("\n".join(GOOD_FLOWS) + "\n")
+    result = run_cli(tmp_path, "validate-data", "--populations", str(populations),
+                     "--flows", str(tmp_path / "flows.csv"))
+    assert_json_error_at(result, populations, 4)
+    assert "byte 0xff is not UTF-8 text" in result.stderr
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_nul_byte_is_not_text(tmp_path, quoted):
+    # a trailing NUL would vanish from a numpy bytes cell, so NUL is refused
+    populations = tmp_path / "pop.csv"
+    write_populations(populations, b"", quoted)
+    populations.write_bytes(populations.read_bytes().replace(b"b,", b"b\0,"))
+    with pytest.raises(ParseError, match=r"pop\.csv:3: byte 0x00 is not UTF-8 text"):
+        load_populations(populations)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_cell_over_csv_field_limit_names_its_line(tmp_path, quoted):
+    # csv.reader refuses it, so the numpy path leaves such a file to csv.reader
+    populations = tmp_path / "pop.csv"
+    write_populations(populations, b"", quoted)
+    populations.write_bytes(populations.read_bytes().replace(b"b,", b"b" * 200_000 + b","))
+    with pytest.raises(ParseError, match=r"pop\.csv:3: field larger than field limit"):
+        load_populations(populations)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_utf8_byte_order_mark_is_skipped(tmp_path, quoted):
+    populations = tmp_path / "pop.csv"
+    write_populations(populations, codecs.BOM_UTF8, quoted)
+    (tmp_path / "flows.csv").write_text("\n".join(GOOD_FLOWS) + "\n")
+    result = run_cli(tmp_path, "validate-data", "--populations", str(populations),
+                     "--flows", str(tmp_path / "flows.csv"))
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])

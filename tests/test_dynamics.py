@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -37,7 +38,8 @@ from epiflows.errors import (
     StepTooLarge,
     ValidationError,
 )
-from epiflows.dynamics import _BLOCK, _CYCLE, Trajectory, _Kernel
+from epiflows.dynamics import _BLOCK, _CYCLE, Trajectory, _Kernel, _validate_trajectory_data
+from epiflows.ingest import _window_sums
 from helpers import (
     PROPERTY_SETTINGS,
     balanced_systems,
@@ -49,6 +51,8 @@ from helpers import (
     random_params,
     random_state,
     raw_flow_derivative,
+    window_sums_by_rows,
+    write_gravity_trips,
 )
 
 
@@ -334,6 +338,52 @@ class TestEstimationCost:
         assert peak < n * 4 * t * 5 * 8
 
 
+class TestReadCost:
+    """Which reader a trips file takes, and what its read holds."""
+
+    @pytest.fixture
+    def trips(self, tmp_path):
+        # 60 nodes over four weeks: about 93 000 rows, 2.1 MB
+        network = random_balanced_network(np.random.default_rng(4), 60)
+        path = tmp_path / "trips.csv"
+        write_gravity_trips(path, network, seed=5, days=28)
+        return path, network.node_ids
+
+    def test_quote_free_file_reads_without_csv_reader(self, trips, monkeypatch):
+        path, ids = trips
+        want = window_sums_by_rows(path, ids)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a quote-free file")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        got = _window_sums(path, ids, 7)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_one_quoted_cell_takes_csv_reader_with_same_result(self, trips, monkeypatch):
+        path, ids = trips
+        want = _window_sums(path, ids, 7)
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        date, origin, tail = first.split(",", 2)
+        path.write_text("".join([header, f'{date},"{origin}",{tail}', *rest]))
+        calls, reader = [], csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *a, **k: calls.append(1) or reader(*a, **k))
+        got = _window_sums(path, ids, 7)
+        assert calls
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_read_peak_is_a_few_times_the_file(self, trips):
+        # one str per cell made this 14x the file's bytes; numpy columns 6.6x
+        path, ids = trips
+        tracemalloc.start()
+        try:
+            _window_sums(path, ids, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * os.path.getsize(path)
+
+
 class TestBalanceCost:
     """How many batched solves one trips load's balancing makes."""
 
@@ -492,7 +542,8 @@ class TestIntegrateOracle:
 
     def test_replay_warns_as_the_per_step_loop(self):
         # rates of 1e308 overflow in the first step: the unchecked pass stays
-        # silent, and the replay warns as the oracle does, operation by operation
+        # silent, the replay warns as the oracle does, operation by operation,
+        # and both stop at the NaN state that step makes
         net = build_network(["solo"], [1000.0], np.zeros((1, 1)))
         params = EpidemicParams(*(np.array([1e308]),) * 4)
         state = SystemState(s=np.array([0.5]), e=np.array([0.2]),
@@ -501,11 +552,17 @@ class TestIntegrateOracle:
         def warned(run):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                run(state, params, net, 0.03, 0.01)
-            return [(w.category, str(w.message)) for w in caught]
+                with pytest.raises(StateLeftSimplex) as raised:
+                    run(state, params, net, 0.03, 0.01)
+            return [(w.category, str(w.message)) for w in caught], str(raised.value)
 
         got, want = warned(integrate), warned(integrate_by_steps)
-        assert got == want and any("in dot" in message for _, message in want)
+        assert got == want and any("in dot" in message for _, message in want[0])
+        assert "t=0.01" in want[1]
+
+    def test_nan_trajectory_is_invalid(self):
+        with pytest.raises(InvalidState):
+            _validate_trajectory_data(np.full((2, 4, 1), np.nan))
 
     def test_step_too_large_same_time_and_message(self):
         net, params, state = too_large_step_node()

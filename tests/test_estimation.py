@@ -194,6 +194,24 @@ class TestEstimateAll:
         for name in ("alpha", "beta", "sigma", "delta"):
             assert getattr(est.params, name).min() >= 0.0
 
+    def test_pseudo_inverse_keeps_each_nodes_unconstrained_fit(self):
+        # Dirichlet-random states follow no SEIRS system, so some fits go
+        # negative; every node still gets the fit estimate_node gives it
+        n, t = 400, 100
+        rng = np.random.default_rng(6)
+        data = rng.dirichlet(np.ones(4), size=(t + 1, n)).transpose(0, 2, 1).copy()
+        series = ObservationSeries(h=1.0, times=np.arange(t + 1.0), data=data,
+                                   schedule=NetworkSchedule.static(random_balanced_network(rng, n)))
+        est = estimate_all(series, solver="pseudo_inverse")
+        nodes = [estimate_node(series, i, solver="pseudo_inverse") for i in range(n)]
+        names = ("beta", "sigma", "delta", "alpha")
+        got = np.stack([getattr(est.params, name) for name in names], axis=1)
+        want = np.array([[getattr(node, name) for name in names] for node in nodes])
+        assert got.min() < 0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.allclose(est.residual_norm, [node.residual_norm for node in nodes],
+                           rtol=1e-12, atol=0)
+
     def test_time_varying_schedule_round_trip(self):
         # per-step flows enter the regression, so recovery must stay exact
         # when the network switches mid-series
