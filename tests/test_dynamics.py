@@ -343,7 +343,7 @@ class TestReadCost:
 
     @pytest.fixture
     def trips(self, tmp_path):
-        # 60 nodes over four weeks: about 93 000 rows, 2.1 MB
+        # 60 nodes over four weeks: 99 118 rows, 2.1 MB
         network = random_balanced_network(np.random.default_rng(4), 60)
         path = tmp_path / "trips.csv"
         write_gravity_trips(path, network, seed=5, days=28)
