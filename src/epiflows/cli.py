@@ -145,8 +145,7 @@ def _load_system(args, need_params: bool = True):
 
 
 def _initial_state(args, schedule: NetworkSchedule) -> SystemState:
-    node_ids = schedule.node_ids
-    n = len(node_ids)
+    n = len(schedule.node_ids)
     if args.initial == "demo":
         if not args.demo:
             raise ValidationError("--initial demo requires --demo")
@@ -156,10 +155,7 @@ def _initial_state(args, schedule: NetworkSchedule) -> SystemState:
     if args.initial == "seeded":
         if args.seed_node is None:
             raise ValidationError("--initial seeded requires --seed-node")
-        try:
-            origin = node_ids.index(args.seed_node)
-        except ValueError:
-            raise ValidationError(f"unknown node id {args.seed_node!r}") from None
+        origin = schedule.periods[0][1].node_index(args.seed_node)
         return demo.seeded_initial_state(n, origin, args.seed_exposed)
     raise ValidationError(f"unknown initial state {args.initial!r}")
 
@@ -279,6 +275,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.tau < 2 or args.ahead < 1:
+        raise ValidationError("--tau must be at least 2 and --ahead at least 1")
     series = _load_observations(args)
     schedule = series.schedule
     node_ids = schedule.node_ids
@@ -294,9 +292,7 @@ def cmd_predict(args) -> int:
         raise InsufficientArrivals(f"only {len(arrivals)} node(s) ever crossed the threshold")
 
     if args.origin:
-        if args.origin not in node_ids:
-            raise ValidationError(f"unknown origin node {args.origin!r}")
-        origin = node_ids.index(args.origin)
+        origin = schedule.periods[0][1].node_index(args.origin)
     else:
         origin = arrivals[0].node
     origin_net = schedule.network_at(arrivals[0].arrival_time, clamp=True)

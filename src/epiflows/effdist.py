@@ -19,7 +19,7 @@ from .errors import (
     NoOverlap,
     ValidationError,
 )
-from .network import FlowNetwork, NetworkSchedule, _shortest_paths
+from .network import FlowNetwork, NetworkSchedule
 
 EPS_SHIFT = 1.0  # one sampling interval of margin past the latest arrival
 
@@ -91,12 +91,32 @@ class ArrivalForecast:
 
 def log_distance_graph(network: FlowNetwork) -> DistanceGraph:
     """One-step costs: 0 on the diagonal, -log w where w > 0, inf otherwise."""
-    w = network.routing
-    d = np.full_like(w, np.inf)
-    pos = w > 0
-    d[pos] = -np.log(w[pos])
+    with np.errstate(divide="ignore"):
+        d = np.log(network.routing)
+    np.subtract(0.0, d, out=d)  # 0.0 - keeps -log 1 at +0.0
     np.fill_diagonal(d, 0.0)
     return DistanceGraph(d=d)
+
+
+def _shortest_paths(cost: np.ndarray, dist: np.ndarray, final: np.ndarray) -> np.ndarray:
+    """Label-setting Dijkstra over the dense costs cost[u, v] >= 0 of the
+    hops u -> v (inf where there is none).
+
+    dist holds the start labels and is lowered in place to the distances;
+    nodes marked final are settled at their start labels and never relaxed
+    from. Each step settles the smallest open label, and the loop ends once
+    that label is inf.
+    """
+    cost = np.ascontiguousarray(cost)  # contiguous rows relax faster at large n
+    closed = np.where(final, np.inf, 0.0)
+    pending = np.empty_like(dist)
+    for _ in range(len(dist)):
+        u = np.add(dist, closed, out=pending).argmin()
+        if pending[u] == np.inf:
+            break
+        closed[u] = np.inf
+        np.minimum(dist, dist[u] + cost[u], out=dist)
+    return dist
 
 
 def effective_distance_from(graph: DistanceGraph, source: int) -> np.ndarray:
@@ -104,11 +124,9 @@ def effective_distance_from(graph: DistanceGraph, source: int) -> np.ndarray:
     so this follows travel direction; unreachable nodes get inf)."""
     if not 0 <= source < graph.n:
         raise ValidationError(f"source {source} out of range for n={graph.n}")
-    # the sparse graph has a row per hop origin: cost[j, i] = d[i, j]
-    cost = graph.d.T
-    hops = np.isfinite(cost)
-    np.fill_diagonal(hops, False)
-    return _shortest_paths(hops, cost[hops], source)
+    dist = np.full(graph.n, np.inf)
+    dist[source] = 0.0
+    return _shortest_paths(graph.d.T, dist, np.zeros(graph.n, dtype=bool))
 
 
 def group_effective_distance(network: FlowNetwork, infected: InfectedSet) -> np.ndarray:
@@ -130,19 +148,13 @@ def group_effective_distance(network: FlowNetwork, infected: InfectedSet) -> np.
 
     pops = network.populations
     w_group = (network.routing[:, mask] * pops[mask]).sum(axis=1) / pops[mask].sum()
-
-    # a virtual super-source, node n, stands for the group: it hops to each
-    # outside node i at cost -log w~_i, and outside-to-outside hops stay
-    outside = ~mask
-    routing = network.routing.T  # a row per hop origin, as in the sparse graph
-    hops = np.zeros((n + 1, n + 1), dtype=bool)
-    hops[:n, :n] = (routing > 0) & outside[:, None] & outside[None, :]
-    np.fill_diagonal(hops, False)
-    hops[n, :n] = outside & (w_group > 0)
-    weights = np.concatenate([routing[hops[:n, :n]], w_group[hops[n, :n]]])
-    dist = _shortest_paths(hops, -np.log(weights), n)[:n]
+    # the group's one hop out starts each outside label; the members are final
+    with np.errstate(divide="ignore"):
+        dist = 0.0 - np.log(w_group)  # 0.0 - keeps -log 1 at +0.0
+        cost = np.log(network.routing.T, order="C")  # a contiguous row per hop origin
+    np.subtract(0.0, cost, out=cost)
     dist[mask] = 0.0
-    return dist
+    return _shortest_paths(cost, dist, mask)
 
 
 def arrival_times(times, signal, threshold: float) -> list[ArrivalRecord]:

@@ -23,6 +23,7 @@ from .errors import (
     NegativeRate,
     NoConvergence,
     PerturbationUnbalanced,
+    UnknownNode,
     ValidationError,
     WindowLargerThanSchedule,
 )
@@ -55,7 +56,7 @@ class FlowNetwork:
         try:
             return self.node_ids.index(node_id)
         except ValueError:
-            raise KeyError(f"unknown node id {node_id!r}") from None
+            raise UnknownNode(f"unknown node id {node_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -288,25 +289,6 @@ def _reach(adjacency: np.ndarray, start: int) -> np.ndarray:
 def _digraph_strongly_connected(adjacency: np.ndarray) -> bool:
     """adjacency[i, j] truthy means an edge j -> i exists."""
     return bool(_reach(adjacency, 0).all() and _reach(adjacency.T, 0).all())
-
-
-def _shortest_paths(hops: np.ndarray, costs: np.ndarray, source: int) -> np.ndarray:
-    """Dijkstra distances from source (inf where unreachable) over the hops
-    u -> v for which hops[u, v] is true; costs holds their nonnegative costs
-    in the row-major order of hops.
-
-    Every hop goes in as an explicit sparse entry: a dense matrix, or a
-    csr_matrix made from one, would drop the zero-cost hops.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    size = hops.shape[0]
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(hops.sum(axis=1), out=indptr[1:])
-    heads = np.broadcast_to(np.arange(size), hops.shape)[hops]
-    graph = csr_matrix((costs, heads, indptr), shape=hops.shape)
-    return dijkstra(graph, directed=True, indices=source)
 
 
 def is_strongly_connected(network: FlowNetwork) -> bool:

@@ -119,6 +119,54 @@ def shortest_paths_by_heap(d, sources):
     return dist
 
 
+def shortest_paths_by_csgraph(hops, costs, source):
+    """scipy's csgraph Dijkstra from source (inf where unreachable) over the
+    hops u -> v for which hops[u, v] is true; costs holds their nonnegative
+    costs in the row-major order of hops.
+
+    Every hop goes in as an explicit sparse entry: a csr_matrix made from a
+    dense matrix would drop the zero-cost hops.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    size = hops.shape[0]
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(hops.sum(axis=1), out=indptr[1:])
+    heads = np.broadcast_to(np.arange(size), hops.shape)[hops]
+    graph = csr_matrix((costs, heads, indptr), shape=hops.shape)
+    return dijkstra(graph, directed=True, indices=source)
+
+
+def distance_from_by_csgraph(d, source):
+    """Single-source distances over edge costs d[i, j] (hop j -> i) by csgraph."""
+    cost = d.T  # a row per hop origin
+    hops = np.isfinite(cost)
+    np.fill_diagonal(hops, False)
+    return shortest_paths_by_csgraph(hops, cost[hops], source)
+
+
+def group_distance_by_csgraph(network, members):
+    """Group distances by csgraph, with a virtual super-source, node n, that
+    stands for the group: it hops to each outside node i at cost -log w~_i,
+    and the hops between outside nodes keep their -log w cost."""
+    n = network.n
+    mask = np.zeros(n, dtype=bool)
+    mask[sorted(members)] = True
+    pops = network.populations
+    w_group = (network.routing[:, mask] * pops[mask]).sum(axis=1) / pops[mask].sum()
+    outside = ~mask
+    routing = network.routing.T  # a row per hop origin
+    hops = np.zeros((n + 1, n + 1), dtype=bool)
+    hops[:n, :n] = (routing > 0) & outside[:, None] & outside[None, :]
+    np.fill_diagonal(hops, False)
+    hops[n, :n] = outside & (w_group > 0)
+    weights = np.concatenate([routing[hops[:n, :n]], w_group[hops[n, :n]]])
+    dist = shortest_paths_by_csgraph(hops, -np.log(weights), n)[:n]
+    dist[mask] = 0.0
+    return dist
+
+
 def raw_flow_derivative(state, params, network):
     """Compartment rates computed per node straight from raw flows,
     independently of the coupling-matrix formulation."""

@@ -2,9 +2,12 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import epiflows
 from epiflows import simulate_discrete, write_trajectory_csv
 from epiflows.cli import main
 from epiflows.demo import (
@@ -288,6 +291,74 @@ class TestPredict:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "InsufficientArrivals"
+
+    @pytest.mark.parametrize("window", [["--tau", "0"], ["--tau", "1"], ["--ahead", "0"],
+                                        ["--ahead", "-3"]])
+    def test_bad_window_exits_2(self, county_run, tmp_path, capsys, window):
+        run_dir, obs, paths, net = county_run
+        code = run("predict", "--observations", str(obs),
+                   "--populations", str(paths["populations"]),
+                   "--flows", str(paths["flows"]), "--aggregation-days", "1",
+                   *window, "--out-dir", str(tmp_path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert not (tmp_path / "forecast.json").exists()
+
+    def test_unknown_origin_exits_2(self, county_run, tmp_path, capsys):
+        run_dir, obs, paths, net = county_run
+        code = run("predict", "--observations", str(obs),
+                   "--populations", str(paths["populations"]),
+                   "--flows", str(paths["flows"]), "--aggregation-days", "1",
+                   "--tau", "8", "--ahead", "5", "--origin", "BOGUS", "--out-dir", str(tmp_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"]["type"] == "UnknownNode"
+        assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "--source", "BOGUS"],
+    ["distance", "--infected", "n1,BOGUS"],
+    ["simulate", "--initial", "seeded", "--seed-node", "BOGUS", "--steps", "5"],
+])
+def test_unknown_node_id_exits_2_with_json(tmp_path, capsys, argv):
+    code = run(*argv, "--demo", "five-node", "--out-dir", str(tmp_path))
+    assert code == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "UnknownNode" and "'BOGUS'" in err["message"]
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_no_command_loads_scipy(county_run, tmp_path):
+    """Every command, run in one fresh process, leaves scipy unloaded."""
+    run_dir, obs, paths, net = county_run
+    demo = ["--demo", "five-node"]
+    files = ["--populations", str(paths["populations"]), "--flows", str(paths["flows"]),
+             "--aggregation-days", "1"]
+    trajectory = str(tmp_path / "trajectory.csv")
+    commands = [
+        ["simulate", *demo, "--mode", "continuous", "--t-end", "5"],
+        ["simulate", *demo, "--steps", "30", "--noise-std", "0.01"],
+        ["stability", *demo, "--endemic", "--perturb-scale", "0.1"],
+        ["estimate", *demo, "--observations", trajectory, "--solver", "nnls"],
+        ["estimate", *demo, "--observations", trajectory, "--solver", "pseudo_inverse"],
+        ["distance", *files, "--source", net.node_ids[0]],
+        ["distance", *files, "--infected", ",".join(net.node_ids[:3])],
+        ["predict", *files, "--observations", str(obs), "--tau", "8", "--ahead", "5"],
+        ["validate-data", *files],
+    ]
+    probe = """import json, sys, epiflows.cli
+codes = [epiflows.cli.main(argv + ['--out-dir', sys.argv[2]]) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"""
+    src = os.path.dirname(os.path.dirname(epiflows.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(commands), str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True, timeout=300)
+    codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert loaded == []
 
 
 class TestValidateData:

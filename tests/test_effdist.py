@@ -29,6 +29,8 @@ from epiflows.demo import synthetic_county_system
 from epiflows.network import NetworkSchedule
 from helpers import (
     PROPERTY_SETTINGS,
+    distance_from_by_csgraph,
+    group_distance_by_csgraph,
     random_balanced_network,
     shortest_paths_by_enumeration,
     shortest_paths_by_heap,
@@ -85,7 +87,7 @@ class TestLogDistanceGraph:
         net = chain_network([1.0, 3.0])
         # node 0 routes everything to node 1: w = 1 -> zero distance
         g = log_distance_graph(net)
-        assert g.d[1, 0] == 0.0
+        assert g.d[1, 0] == 0.0 and not np.signbit(g.d[1, 0])
         assert g.d[0, 1] == np.inf
         assert np.all(np.diag(g.d) == 0.0)
 
@@ -295,6 +297,13 @@ class TestGroupDistance:
             want = shortest_paths_by_heap(d, [(m, 0.0) for m in members])
             assert np.array_equal(got, want)
 
+    def test_sure_hop_out_of_the_group_costs_positive_zero(self):
+        # node 0 sends all of its travel to node 1, so w~_1 = 1 and -log 1 = -0.0
+        net = chain_network([5.0, 2.0])
+        dist = group_effective_distance(net, InfectedSet(members=frozenset({0})))
+        assert dist.tolist() == [0.0, 0.0, 0.0]  # node 1 sends all its travel on to 2
+        assert not np.signbit(dist).any()
+
     def test_dominated_by_single_member_distances(self):
         rng = np.random.default_rng(53)
         net = random_sparse_graph(rng, 8)
@@ -304,6 +313,40 @@ class TestGroupDistance:
         for m in members:
             single = shortest_paths_by_enumeration(d, m)
             assert np.all(got <= single + 1e-12)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestCsgraphOracle:
+    """The dense Dijkstra against scipy's csgraph, bit for bit and sign for sign."""
+
+    @pytest.mark.parametrize("n", [87, 1000])
+    def test_gravity_counties(self, n):
+        rng = np.random.default_rng(n)
+        for seed in (1, 2):
+            net = synthetic_county_system(n=n, seed=seed)[0]
+            g = log_distance_graph(net)
+            for source in rng.choice(n, 3, replace=False).tolist():
+                assert_same_bits(effective_distance_from(g, source),
+                                 distance_from_by_csgraph(g.d, source))
+            for k in (1, 5, 20):
+                members = frozenset(rng.choice(n, k, replace=False).tolist())
+                assert_same_bits(group_effective_distance(net, InfectedSet(members=members)),
+                                 group_distance_by_csgraph(net, members))
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.data())
+    def test_random_groups(self, n, seed, data):
+        net = random_balanced_network(np.random.default_rng(seed), n)
+        members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+        assert_same_bits(group_effective_distance(net, InfectedSet(members=frozenset(members))),
+                         group_distance_by_csgraph(net, members))
+        source = min(members)
+        assert_same_bits(effective_distance_from(log_distance_graph(net), source),
+                         distance_from_by_csgraph(log_distance_graph(net).d, source))
 
 
 class TestArrivalTimes:
