@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import epiflows
 from epiflows import (
     EpidemicParams,
     NetworkSchedule,
@@ -299,7 +302,23 @@ class TestSpectrumCost:
 
 
 class TestEstimationCost:
-    """What a fit of every node holds in memory."""
+    """What a fit of every node loads and holds."""
+
+    def test_nnls_estimate_leaves_scipy_optimize_unloaded(self, five_node, five_node_start,
+                                                          tmp_path):
+        net, params = five_node
+        observations = tmp_path / "obs.csv"
+        write_trajectory_csv(observations, simulate_discrete(five_node_start, params, net,
+                                                             steps=30, noise_std=0.01, rng=1))
+        src = os.path.dirname(os.path.dirname(epiflows.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["estimate", "--demo", "five-node", "--observations", str(observations),
+                "--solver", "nnls", "--out-dir", str(tmp_path)]
+        probe = ("import sys, epiflows.cli; code = epiflows.cli.main(sys.argv[1:]); "
+                 "print(code, 'scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
     def test_never_stacks_every_node_at_once(self):
         # one (n, 4T, 5) stack of all nodes' systems is 6.4 MB here; a chunk
