@@ -46,6 +46,7 @@ from .estimation import (
     write_estimate_csv,
 )
 from .ingest import (
+    CaseSeries,
     infer_states,
     load_cases,
     load_flows,
@@ -160,8 +161,9 @@ def _initial_state(args, schedule: NetworkSchedule) -> SystemState:
     raise ValidationError(f"unknown initial state {args.initial!r}")
 
 
-def _load_observations(args) -> ObservationSeries:
-    """Observation series from a trajectory CSV or inferred from case counts."""
+def _load_observations(args) -> tuple[ObservationSeries, CaseSeries | None]:
+    """Observation series from a trajectory CSV, or inferred from case counts
+    and returned with them."""
     if bool(args.observations) == bool(args.cases):
         raise ValidationError("provide exactly one of --observations or --cases")
     schedule, _ = _load_system(args, need_params=False)
@@ -172,11 +174,12 @@ def _load_observations(args) -> ObservationSeries:
         gaps = np.diff(times)
         if len(gaps) == 0:
             raise ValidationError("need at least two observation times")
-        return ObservationSeries(h=float(gaps[0]), times=times, data=data, schedule=schedule)
+        series = ObservationSeries(h=float(gaps[0]), times=times, data=data, schedule=schedule)
+        return series, None
     cases = load_cases(args.cases)
     if cases.node_ids != schedule.node_ids:
         raise ValidationError("case-series nodes do not match the network nodes")
-    return infer_states(cases, schedule.periods[0][1].populations, schedule=schedule)
+    return infer_states(cases, schedule.periods[0][1].populations, schedule=schedule), cases
 
 
 # ---------------------------------------------------------------- commands
@@ -222,21 +225,21 @@ def cmd_stability(args) -> int:
             params, network, args.perturb_scale * network.gamma
         )
         payload["perturbation"] = {"theta_scale": args.perturb_scale, "eigenvalue_drift": drift}
-    _write_json(_out(args, "stability.json"), payload)
+    reports = {"stability.json": payload}
     if args.endemic:
         solution = solve_endemic(
             params, network, tolerance=args.tolerance,
             max_iterations=args.max_iterations, damping=args.damping,
         )
-        endemic = solution.to_dict()
-        endemic["node_ids"] = list(network.node_ids)
-        _write_json(_out(args, "endemic.json"), endemic)
+        reports["endemic.json"] = solution.to_dict() | {"node_ids": list(network.node_ids)}
+    for name, body in reports.items():
+        _write_json(_out(args, name), body)
     print(f"healthy state: {report.classification} (s(U) = {report.s_of_U:.6g})")
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    series = _load_observations(args)
+    series, _ = _load_observations(args)
     estimate = estimate_all(series, solver=args.solver)
     _write_json(_out(args, "estimate.json"), estimate.to_dict())
     csv_path = _out(args, "estimate.csv")
@@ -277,12 +280,12 @@ def cmd_distance(args) -> int:
 def cmd_predict(args) -> int:
     if args.tau < 2 or args.ahead < 1:
         raise ValidationError("--tau must be at least 2 and --ahead at least 1")
-    series = _load_observations(args)
+    series, cases = _load_observations(args)
     schedule = series.schedule
     node_ids = schedule.node_ids
-    if args.cases:
+    if cases is not None:
         # arrival = first reported case, so threshold sits at zero counts
-        signal = np.asarray(load_cases(args.cases).cumulative, dtype=float)
+        signal = np.asarray(cases.cumulative, dtype=float)
         threshold = 0.0
     else:
         signal = series.data[:, 2, :]

@@ -84,7 +84,7 @@ class SystemState:
         if len(shapes) != 1 or self.s.ndim != 1:
             raise DimensionMismatch(f"state vectors must share one 1-d shape, got {shapes}")
         m = self.as_matrix()
-        if np.any(m < 0) or np.any(m > 1):
+        if not (m.min(initial=0.0) >= 0 and m.max(initial=1.0) <= 1):  # NaN fails both
             raise InvalidState("state entries must lie in [0, 1]")
         sums = m.sum(axis=0)
         worst = float(np.abs(sums - 1).max(initial=0.0))
@@ -191,13 +191,6 @@ class _Kernel:
         np.dot(z, self.a_t, out)
         np.dot(_CYCLE, np.multiply(self.rates, z, self.flux), self.cycled)
         return np.add(out, self.cycled, out)
-
-    def left_product(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """w^T (M - Q) for a (4, n) weight w, with the rates frozen at each row
-        of infection fractions x (T, n): W A + (C^T W) * R, shape (T, 4, n)."""
-        rates = np.repeat(self.rates[None], len(x), axis=0)
-        rates[:, 0] = self.beta * x
-        return w @ self.a_t.T + (_CYCLE.T @ w) * rates
 
 
 def _settle_onto_simplex(z: np.ndarray, t: float) -> np.ndarray:

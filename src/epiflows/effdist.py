@@ -90,9 +90,11 @@ class ArrivalForecast:
 
 
 def log_distance_graph(network: FlowNetwork) -> DistanceGraph:
-    """One-step costs: 0 on the diagonal, -log w where w > 0, inf otherwise."""
+    """One-step costs: 0 on the diagonal, -log w where w > 0, inf otherwise.
+
+    d.T is C-contiguous, a row per hop origin, as the Dijkstra relaxes it."""
     with np.errstate(divide="ignore"):
-        d = np.log(network.routing)
+        d = np.log(network.routing.T, order="C").T
     np.subtract(0.0, d, out=d)  # 0.0 - keeps -log 1 at +0.0
     np.fill_diagonal(d, 0.0)
     return DistanceGraph(d=d)
@@ -148,13 +150,12 @@ def group_effective_distance(network: FlowNetwork, infected: InfectedSet) -> np.
 
     pops = network.populations
     w_group = (network.routing[:, mask] * pops[mask]).sum(axis=1) / pops[mask].sum()
-    # the group's one hop out starts each outside label; the members are final
+    # the group's one hop out starts each outside label; the members are final.
+    # A settled label plus the free self-hop is itself, so that hop changes nothing
     with np.errstate(divide="ignore"):
         dist = 0.0 - np.log(w_group)  # 0.0 - keeps -log 1 at +0.0
-        cost = np.log(network.routing.T, order="C")  # a contiguous row per hop origin
-    np.subtract(0.0, cost, out=cost)
     dist[mask] = 0.0
-    return _shortest_paths(cost, dist, mask)
+    return _shortest_paths(log_distance_graph(network).d.T, dist, mask)
 
 
 def arrival_times(times, signal, threshold: float) -> list[ArrivalRecord]:

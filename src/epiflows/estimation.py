@@ -25,6 +25,7 @@ RANK_RATIO_TOL = 1e-10
 SOLVERS = ("pseudo_inverse", "nnls")
 
 _CHUNK = 128  # nodes per stacked fit, so the (k, 4T, 5) stack stays a few MB at any n
+_QR_BYTES = 8 << 20  # systems per QR call: about 8 MB of them, and at least one
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,10 @@ def _fit(a: np.ndarray, solver: str):
     """
     if solver not in SOLVERS:
         raise ValidationError(f"solver must be one of {SOLVERS}, got {solver!r}")
-    r = np.linalg.qr(a, mode="r")  # (k, 5, 5), or (k, 4, 5) when T = 1
+    # qr copies its input, so a long series is factored a few MB at a time
+    step = max(1, _QR_BYTES // a[0].nbytes)
+    r = np.concatenate([np.linalg.qr(a[i : i + step], mode="r") for i in range(0, len(a), step)])
+    # r is (k, 5, 5), or (k, 4, 5) when T = 1
     r4, c = r[:, :4, :4], r[:, :4, 4]
     rcond = np.finfo(float).eps * a.shape[1]  # lstsq's cutoff for the rank
     if solver == "nnls":

@@ -140,6 +140,8 @@ def build_network(
             f"expected populations ({n},) and flows ({n}, {n}); "
             f"got {populations.shape} and {flows.shape}"
         )
+    if not (np.isfinite(populations).all() and np.isfinite(flows).all()):
+        raise ValidationError("populations and flows must be finite")
     if np.any(populations <= 0):
         raise NegativeEntry("populations must be strictly positive")
     if np.any(flows < 0):
@@ -163,20 +165,15 @@ def build_network(
             f"{rel[worst]:.3e} exceeds tolerance {balance_tolerance:.1e}"
         )
 
-    gamma = outflow / populations
-    routing = np.zeros_like(flows)
-    active = outflow > 0
-    routing[:, active] = flows[:, active] / outflow[active]
-    coupling = (1.0 / populations)[:, None] * routing * (gamma * populations)[None, :]
+    # a column without outflow is all zeros, and divides to zeros
+    routing = flows / np.where(outflow > 0, outflow, 1.0)
+    return _network(node_ids, populations.copy(), flows.copy(), outflow / populations, routing)
 
-    return FlowNetwork(
-        node_ids=node_ids,
-        populations=_freeze(populations.copy()),
-        flows=_freeze(flows.copy()),
-        gamma=_freeze(gamma),
-        routing=_freeze(routing),
-        coupling=_freeze(coupling),
-    )
+
+def _network(node_ids, populations, flows, gamma, routing) -> FlowNetwork:
+    """The network with coupling diag(1/N) routing diag(gamma N), every array frozen."""
+    coupling = (1.0 / populations)[:, None] * routing * (gamma * populations)[None, :]
+    return FlowNetwork(node_ids, *map(_freeze, (populations, flows, gamma, routing, coupling)))
 
 
 def balance_flows(flows, method: str = "scale") -> np.ndarray:
@@ -345,12 +342,4 @@ def perturb_flows_balanced(
             f"theta violates the balance identity by {residual:.3e} (tol {tol:.0e})"
         )
     flows = network.routing * (new_gamma * pops)[None, :]
-    coupling = (1.0 / pops)[:, None] * network.routing * (new_gamma * pops)[None, :]
-    return FlowNetwork(
-        node_ids=network.node_ids,
-        populations=pops,
-        flows=_freeze(flows),
-        gamma=_freeze(new_gamma),
-        routing=network.routing,
-        coupling=_freeze(coupling),
-    )
+    return _network(network.node_ids, pops, flows, new_gamma, network.routing)

@@ -199,19 +199,20 @@ def _existence_indicator(
 ) -> float:
     """min over the (4, n) states of s(-Q + M), by Collatz-Wielandt enclosures:
     s(B) lies in [min r, max r], r = (v^T B) / v, for Metzler B and v > 0.
-    For the stacked populations v, r_j is the gap between what the coupling
-    carries out of node j and gamma_j N_j (0 up to rounding for networks from
-    build_network). The midpoint is taken when the enclosure is within 1e-12
-    of the largest rate wide, else dense eigenvalues of M - Q."""
+    The cycle matrix's columns sum to 0, so for the stacked populations v the
+    rates drop out and r_j = (N^T A)_j / N_j, A = Phi - diag(gamma): the gap
+    between what the coupling carries out of node j and gamma_j N_j, one
+    enclosure for all states and rates (closed up to rounding for networks
+    from build_network). Its midpoint is taken when it is within 1e-12 of the
+    largest rate wide, else dense eigenvalues of M - Q at each state."""
     v = np.broadcast_to(network.populations, (4, network.n))
-    ratios = _Kernel(params, network).left_product(v, states[:, 2]) / v
-    low, high = ratios.min(axis=(1, 2)), ratios.max(axis=(1, 2))
-    values = 0.5 * (low + high)
+    ratios = v @ (network.coupling - np.diag(network.gamma)) / v
+    low, high = ratios.min(), ratios.max()
     scale = np.max([params.alpha, params.beta, params.sigma, params.delta, network.gamma])
-    for k in np.flatnonzero(high - low > 1e-12 * scale):
-        Q, M = q_and_m_matrices(SystemState.from_matrix(states[k]), params, network)
-        values[k] = spectral_abscissa(M - Q)
-    return float(values.min())
+    if high - low > 1e-12 * scale:
+        pairs = (q_and_m_matrices(SystemState.from_matrix(z), params, network) for z in states)
+        return min(spectral_abscissa(M - Q) for Q, M in pairs)
+    return float(0.5 * (low + high))
 
 
 def endemic_existence_indicator(
@@ -247,6 +248,8 @@ def solve_endemic(
     """
     if not 0 < damping <= 1:
         raise ValidationError("damping must lie in (0, 1]")
+    if not (0 < tolerance < np.inf and max_iterations >= 1):
+        raise ValidationError("tolerance must be finite and positive, max_iterations at least 1")
     if not is_strongly_connected(network):
         raise NotIrreducible("endemic solving requires a strongly connected network")
     if init is None:

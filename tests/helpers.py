@@ -167,6 +167,27 @@ def group_distance_by_csgraph(network, members):
     return dist
 
 
+def routing_by_masked_divide(flows):
+    """Routing as zeros with each column that has outflow divided by it."""
+    outflow = flows.sum(axis=0)
+    routing = np.zeros_like(flows)
+    active = outflow > 0
+    routing[:, active] = flows[:, active] / outflow[active]
+    return routing
+
+
+def coupling_by_formula(populations, routing, gamma):
+    """Phi[i, j] = routing[i, j] gamma_j N_j / N_i."""
+    return (1.0 / populations)[:, None] * routing * (gamma * populations)[None, :]
+
+
+def perturbed_by_formula(network, theta):
+    """(flows, gamma, coupling) after shifting gamma by theta at fixed routing."""
+    gamma = network.gamma + theta
+    flows = network.routing * (gamma * network.populations)[None, :]
+    return flows, gamma, coupling_by_formula(network.populations, network.routing, gamma)
+
+
 def raw_flow_derivative(state, params, network):
     """Compartment rates computed per node straight from raw flows,
     independently of the coupling-matrix formulation."""

@@ -4,11 +4,13 @@ import os
 import stat
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import epiflows
-from epiflows import simulate_discrete, write_trajectory_csv
+from epiflows import cli, read_trajectory_csv, simulate_discrete, write_trajectory_csv
 from epiflows.cli import main
 from epiflows.demo import (
     five_node_initial_state,
@@ -117,6 +119,15 @@ class TestSimulate:
         assert "must be finite" in err["error"]["message"]
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_nan_seed_exposure_exits_2_before_any_step(self, tmp_path, capsys):
+        with mock.patch.object(cli, "simulate_discrete", wraps=cli.simulate_discrete) as sim:
+            code = run("simulate", "--demo", "five-node", "--initial", "seeded",
+                       "--seed-node", "n1", "--seed-exposed", "nan", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "InvalidState"
+        assert sim.call_count == 0
+        assert os.listdir(tmp_path) == []
+
     def test_gnuplot_script_emitted(self, tmp_path):
         code = run("simulate", "--demo", "five-node", "--steps", "10",
                    "--gnuplot", "--out-dir", str(tmp_path))
@@ -167,6 +178,22 @@ class TestStability:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ValidationError"
         assert not (tmp_path / "stability.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--tolerance", "-1"], ["--tolerance", "nan"],
+                                      ["--max-iterations", "0"]])
+    def test_bad_endemic_option_exits_2(self, tmp_path, capsys, argv):
+        code = run("stability", "--demo", "five-node", "--endemic", *argv,
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_endemic_solve_leaves_no_outputs(self, tmp_path, capsys):
+        code = run("stability", "--demo", "five-node", "--endemic", "--max-iterations", "1",
+                   "--out-dir", str(tmp_path))
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "NoConvergence"
+        assert os.listdir(tmp_path) == []
 
 
 class TestEstimate:
@@ -281,6 +308,25 @@ class TestPredict:
             rows = list(csv.DictReader(fh))
         assert set(rows[0]) == {"node_id", "effective_distance",
                                 "actual_arrival", "predicted_arrival"}
+
+    def test_cases_file_read_once(self, county_run, tmp_path):
+        run_dir, obs, paths, net = county_run
+        # everyone who ever left s counts as a reported case
+        _, _, data = read_trajectory_csv(obs)
+        cumulative = np.maximum.accumulate(np.floor(net.populations * (1.0 - data[:, 0])), axis=0)
+        days = np.datetime64("2020-03-01") + np.arange(len(cumulative))
+        cases = tmp_path / "cases.csv"
+        cases.write_text("node_id,date,cumulative_cases\n" + "".join(
+            f"{nid},{day},{int(c)}\n" for day, row in zip(days, cumulative)
+            for nid, c in zip(net.node_ids, row)))
+        with mock.patch.object(cli, "load_cases", wraps=cli.load_cases) as load:
+            code = run("predict", "--cases", str(cases),
+                       "--populations", str(paths["populations"]),
+                       "--flows", str(paths["flows"]), "--aggregation-days", "1",
+                       "--tau", "8", "--ahead", "5", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert load.call_count == 1
+        assert read_json(tmp_path / "forecast.json")["threshold"] == 0.0
 
     def test_oversized_window_exits_1(self, county_run, tmp_path, capsys):
         run_dir, obs, paths, net = county_run

@@ -8,6 +8,7 @@ from epiflows import (
     ArrivalRecord,
     DistanceGraph,
     InfectedSet,
+    SystemState,
     arrival_times,
     build_network,
     effective_distance_from,
@@ -80,6 +81,15 @@ def graphs_with_sure_hops(draw, max_n=8):
             flows[keep, j] = weights[keep, j]
     pops = draw(arrays(float, n, elements=st.sampled_from([10.0, 30.0, 500.0])))
     return build_network([str(i) for i in range(n)], pops, flows, balance_tolerance=np.inf)
+
+
+class TestInfectedSet:
+    def test_from_state_keeps_nodes_strictly_above_threshold(self):
+        state = SystemState(s=np.array([0.9, 0.5, 0.99]), e=np.array([0.05, 0.2, 0.0]),
+                            x=np.array([0.05, 0.3, 0.01]), r=np.zeros(3))
+        infected = InfectedSet.from_state(state, 0.01)
+        assert infected.members == frozenset({0, 1})
+        assert infected.threshold == 0.01
 
 
 class TestLogDistanceGraph:

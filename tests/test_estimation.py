@@ -314,6 +314,17 @@ class TestStackedFit:
                 assert min(cond[i], want_cond) > 1.0 / RANK_RATIO_TOL
 
     @PROPERTY_SETTINGS
+    @given(stacked_systems(), st.sampled_from(estimation.SOLVERS))
+    def test_qr_slices_match_one_call(self, a, solver):
+        # each system is factored on its own, so slicing the QR changes no bit
+        whole = estimation._fit(a, solver)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "_QR_BYTES", 1)
+            sliced = estimation._fit(a, solver)
+        for got, want in zip(sliced, whole):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @PROPERTY_SETTINGS
     @given(balanced_systems(periods=2, max_n=12), st.sampled_from(estimation.SOLVERS))
     def test_chunks_match_one_stack(self, system, solver):
         nets, params, state = system

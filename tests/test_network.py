@@ -25,12 +25,17 @@ from epiflows.errors import (
     ValidationError,
     WindowLargerThanSchedule,
 )
+from epiflows.demo import synthetic_county_system
 from helpers import (
     PROPERTY_SETTINGS,
     balanceable_stacks,
+    balanced_systems,
+    coupling_by_formula,
     osborne_balance,
+    perturbed_by_formula,
     random_balanced_network,
     reachable_closure,
+    routing_by_masked_divide,
     strongly_connected_oracle,
 )
 
@@ -99,6 +104,16 @@ class TestBuildNetwork:
         with pytest.raises(ValidationError):
             build_network(["a", "b"], [1.0, 1.0], [[1, 1], [1, 0]])
 
+    @pytest.mark.parametrize("populations, flows", [
+        ([np.nan, 10.0], [[0.0, 1.0], [1.0, 0.0]]),
+        ([np.inf, 10.0], [[0.0, 1.0], [1.0, 0.0]]),
+        ([10.0, 10.0], [[0.0, np.nan], [1.0, 0.0]]),
+        ([10.0, 10.0], [[0.0, np.inf], [np.inf, 0.0]]),
+    ])
+    def test_non_finite_inputs_rejected(self, populations, flows):
+        with pytest.raises(ValidationError, match="finite"):
+            build_network(["a", "b"], populations, flows)
+
     def test_zero_outflow_node(self):
         flows = np.zeros((3, 3))
         flows[1, 0] = flows[0, 1] = 5.0
@@ -121,6 +136,36 @@ class TestBuildNetwork:
             assert np.abs(net.coupling - expected).max() < 1e-15
             # balance makes gamma_i equal the coupling row sums
             assert np.abs(net.coupling.sum(axis=1) - net.gamma).max() < 1e-12 * net.gamma.max()
+
+
+def assert_matches_formulas(net, c):
+    """The network's derived arrays, and those of its perturbation by
+    theta = c * gamma, equal the formulas written out, to the bit."""
+    assert np.array_equal(net.routing, routing_by_masked_divide(net.flows))
+    assert np.array_equal(net.gamma, net.flows.sum(axis=0) / net.populations)
+    assert np.array_equal(net.coupling,
+                          coupling_by_formula(net.populations, net.routing, net.gamma))
+    out = perturb_flows_balanced(net, c * net.gamma)
+    want = perturbed_by_formula(net, c * net.gamma)
+    for got, expected in zip((out.flows, out.gamma, out.coupling), want):
+        assert np.array_equal(got, expected)
+    assert out.routing is net.routing and out.populations is net.populations
+    for a in (net.populations, net.flows, net.gamma, net.routing, net.coupling,
+              out.flows, out.gamma, out.coupling):
+        assert not a.flags.writeable
+
+
+class TestConstructorOracle:
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(), st.floats(-0.9, 1.0))
+    def test_networks_with_silent_nodes(self, system, c):
+        (net,), _, _ = system
+        assert_matches_formulas(net, c)
+
+    @pytest.mark.parametrize("n", [87, 1000])
+    def test_gravity_counties(self, n):
+        for seed in (1, 2):
+            assert_matches_formulas(synthetic_county_system(n=n, seed=seed)[0], 0.1)
 
 
 @pytest.mark.filterwarnings("error")

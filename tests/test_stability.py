@@ -46,6 +46,7 @@ from helpers import (
     random_balanced_network,
     random_irreducible_nonneg,
     random_params,
+    random_state,
     u_matrix_by_blocks,
 )
 
@@ -220,6 +221,15 @@ class TestSolveEndemic:
             sol = solve_endemic(params, net, init=init, tolerance=1e-12)
             assert np.abs(sol.state.as_matrix() - reference).max() < 1e-8
 
+    @pytest.mark.parametrize("options", [
+        {"tolerance": -1.0}, {"tolerance": 0.0}, {"tolerance": np.nan},
+        {"tolerance": np.inf}, {"max_iterations": 0}, {"max_iterations": -5},
+    ])
+    def test_bad_options_rejected(self, five_node, options):
+        net, params = five_node
+        with pytest.raises(ValidationError):
+            solve_endemic(params, net, **options)
+
     def test_disconnected_network_rejected(self):
         flows = np.zeros((3, 3))
         flows[1, 0] = flows[0, 1] = 2.0
@@ -362,6 +372,24 @@ class TestSpectrumProperties:
         assert got.shape == want.shape
         assert np.array_equal(got, np.sort_complex(got))
         assert matched_distance(got, want) <= 1e-12 * max(1.0, np.abs(jacobian).max())
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(), st.integers(0, 2**32 - 1))
+    def test_indicator_is_the_networks_conservation_gap(self, system, seed):
+        # the cycle matrix's columns sum to 0, so the rates drop out of
+        # v^T (M - Q) for the stacked populations v: one closed enclosure
+        # for every state and rate vector of a conserving network
+        (net,), params, state = system
+        rng = np.random.default_rng(seed)
+        traj = two_state_trajectory(state, net)
+        with mock.patch.object(stability, "_eigvals", wraps=stability._eigvals) as eig:
+            got = endemic_existence_indicator(traj, params, net)
+            other = endemic_existence_indicator(
+                two_state_trajectory(random_state(rng, net.n), net), random_params(rng, net.n), net
+            )
+        assert eig.call_count == 0
+        assert other == got
+        assert abs(got - dense_indicator(traj, params, net)) <= 1e-12
 
     @PROPERTY_SETTINGS
     @given(balanced_systems(), st.integers(0, 2**32 - 1))
