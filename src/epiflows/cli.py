@@ -18,6 +18,7 @@ import numpy as np
 from . import demo
 from .dynamics import (
     SystemState,
+    Trajectory,
     integrate,
     read_trajectory_csv,
     simulate_discrete,
@@ -171,11 +172,7 @@ def _load_observations(args) -> tuple[ObservationSeries, CaseSeries | None]:
         times, node_ids, data = read_trajectory_csv(args.observations)
         if node_ids != schedule.node_ids:
             raise ValidationError("observation nodes do not match the network nodes")
-        gaps = np.diff(times)
-        if len(gaps) == 0:
-            raise ValidationError("need at least two observation times")
-        series = ObservationSeries(h=float(gaps[0]), times=times, data=data, schedule=schedule)
-        return series, None
+        return ObservationSeries.from_trajectory(Trajectory(times, data, schedule)), None
     cases = load_cases(args.cases)
     if cases.node_ids != schedule.node_ids:
         raise ValidationError("case-series nodes do not match the network nodes")

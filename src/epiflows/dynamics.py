@@ -35,6 +35,28 @@ _BLOCK = 64  # RK4 steps between simplex checks
 _TWO = np.array(2.0)  # RK4 scalars are 0-d arrays: see integrate
 
 
+def _coerce_vectors(obj, names: tuple[str, ...], what: str) -> np.ndarray:
+    """Set the named fields of the frozen dataclass obj to float arrays, and
+    return their stack once they share one 1-d shape."""
+    arrays = [np.asarray(getattr(obj, name), dtype=float) for name in names]
+    for name, arr in zip(names, arrays):
+        object.__setattr__(obj, name, arr)
+    shapes = {arr.shape for arr in arrays}
+    if len(shapes) != 1 or arrays[0].ndim != 1:
+        raise DimensionMismatch(f"{what} vectors must share one 1-d shape, got {shapes}")
+    return np.stack(arrays)
+
+
+def _check_simplex(data: np.ndarray, what: str) -> None:
+    """Raise InvalidState unless each node's four fractions in data, shaped
+    (..., 4, n), lie in [0, 1] and sum to 1 within SIMPLEX_SUM_TOL."""
+    if not (data.min(initial=0.0) >= 0 and data.max(initial=1.0) <= 1):  # NaN fails both
+        raise InvalidState(f"{what} entries must lie in [0, 1]")
+    worst = float(np.abs(data.sum(axis=-2) - 1).max(initial=0.0))
+    if worst > SIMPLEX_SUM_TOL:
+        raise InvalidState(f"{what} per-node sums deviate from 1 by {worst:.3e}")
+
+
 @dataclass(frozen=True)
 class EpidemicParams:
     """Per-node rates: immunity loss, infection, incubation, healing.
@@ -51,13 +73,7 @@ class EpidemicParams:
     strict: bool = True
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "sigma", "delta"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-        shapes = {self.alpha.shape, self.beta.shape, self.sigma.shape, self.delta.shape}
-        if len(shapes) != 1 or self.alpha.ndim != 1:
-            raise DimensionMismatch(f"rate vectors must share one 1-d shape, got {shapes}")
-        stacked = np.stack([self.alpha, self.beta, self.sigma, self.delta])
+        stacked = _coerce_vectors(self, ("alpha", "beta", "sigma", "delta"), "rate")
         if not np.isfinite(stacked).all():
             raise ValidationError("rates must be finite")
         if self.strict and np.any(stacked <= 0):
@@ -78,18 +94,7 @@ class SystemState:
     r: np.ndarray
 
     def __post_init__(self):
-        for name in ("s", "e", "x", "r"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        shapes = {self.s.shape, self.e.shape, self.x.shape, self.r.shape}
-        if len(shapes) != 1 or self.s.ndim != 1:
-            raise DimensionMismatch(f"state vectors must share one 1-d shape, got {shapes}")
-        m = self.as_matrix()
-        if not (m.min(initial=0.0) >= 0 and m.max(initial=1.0) <= 1):  # NaN fails both
-            raise InvalidState("state entries must lie in [0, 1]")
-        sums = m.sum(axis=0)
-        worst = float(np.abs(sums - 1).max(initial=0.0))
-        if worst > SIMPLEX_SUM_TOL:
-            raise InvalidState(f"per-node sums deviate from 1 by {worst:.3e}")
+        _check_simplex(_coerce_vectors(self, ("s", "e", "x", "r"), "state"), "state")
 
     @property
     def n(self) -> int:
@@ -257,10 +262,10 @@ def integrate(
 
     n = state0.n
     periods, start = [], 0.0  # (network, step end times, step sizes) per period
-    for duration, net in schedule.periods:
+    for (_, net), period_end in zip(schedule.periods, schedule._ends):
         if start >= t_end:
             break
-        end = min(start + duration, t_end)
+        end = min(period_end, t_end)
         tol = 1e-12 * max(1.0, end)
         if start < end - tol:
             # times start + k*step, then a last step onto the period end exactly
@@ -293,16 +298,8 @@ def integrate(
                     data[i + 1] = _settle_onto_simplex(data[i + 1], t)
             k += len(block)
 
-    _validate_trajectory_data(data)
+    _check_simplex(data, "trajectory")
     return Trajectory(times=times, data=data, schedule=schedule)
-
-
-def _validate_trajectory_data(data: np.ndarray):
-    if not (data.min() >= 0 and data.max() <= 1):  # NaN fails both
-        raise InvalidState("trajectory left [0, 1]")
-    worst = float(np.abs(data.sum(axis=1) - 1).max())
-    if worst > SIMPLEX_SUM_TOL:
-        raise InvalidState(f"trajectory per-node sums deviate from 1 by {worst:.3e}")
 
 
 def _euler_step_raw(z: np.ndarray, kernel: _Kernel, h: float, t: float) -> np.ndarray:
@@ -355,16 +352,11 @@ def simulate_discrete(
     truth = np.empty((steps + 1, 4, n))
     truth[0] = state0.as_matrix()
     z = truth[0]
-    kernel = None
-    current_net = None
-    for k in range(steps):
-        t = k * h
-        net = schedule.network_at(t)
-        if net is not current_net:
-            kernel = _Kernel(params, net)
-            current_net = net
-        z = _euler_step_raw(z, kernel, h, t)
-        truth[k + 1] = z
+    for start, stop, net in schedule._runs(np.arange(steps) * h):
+        kernel = _Kernel(params, net)
+        for k in range(start, stop):
+            z = _euler_step_raw(z, kernel, h, k * h)
+            truth[k + 1] = z
 
     if noise_std > 0.0:
         if rng is None or isinstance(rng, (int, np.integer)):
@@ -375,7 +367,7 @@ def simulate_discrete(
         observed = truth
 
     times = np.arange(steps + 1, dtype=float) * h
-    _validate_trajectory_data(observed)
+    _check_simplex(observed, "trajectory")
     return Trajectory(times=times, data=observed, schedule=schedule)
 
 

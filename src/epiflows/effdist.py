@@ -162,8 +162,11 @@ def arrival_times(times, signal, threshold: float) -> list[ArrivalRecord]:
     """First time each node's signal strictly exceeds the threshold.
 
     signal has shape (T, n). Nodes that never cross are omitted; results are
-    sorted by arrival time with ties broken by node index.
+    sorted by arrival time with ties broken by node index. The threshold must
+    be finite.
     """
+    if not np.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold}")
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 2 or signal.shape[0] != len(times):
@@ -225,7 +228,7 @@ def sliding_window_predict(
     degenerate = bool(usable.sum() < 2 or xs[usable].std() < 1e-12)
     if degenerate:
         # flat fallback: every remaining node is due one mean arrival gap out
-        mean_gap = float(np.mean(np.diff(ys))) if tau > 1 else EPS_SHIFT
+        mean_gap = float(np.mean(np.diff(ys)))
         slope, intercept = 0.0, t_now + mean_gap
     else:
         slope, intercept = _ols_line(xs[usable], ys[usable])

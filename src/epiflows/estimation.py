@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import numbers, read_columns, text
+from ._csvio import numbers, raise_first, read_columns, repeated, text
 from .dynamics import _CYCLE, EpidemicParams, SystemState, Trajectory
-from .errors import DimensionMismatch, ScheduleMismatch, ValidationError
+from .errors import DimensionMismatch, ParseError, ScheduleMismatch, ValidationError
 from .network import FlowNetwork, NetworkSchedule
 
 RANK_RATIO_TOL = 1e-10
@@ -120,15 +120,13 @@ class ParameterEstimate:
 
 
 def _step_groups(series: ObservationSeries) -> list[tuple[int, int, FlowNetwork]]:
-    """Consecutive step ranges sharing one network, as (start, stop, net)."""
+    """Consecutive step ranges in one schedule period, as (start, stop, net)."""
     if series.schedule is None:
         raise ScheduleMismatch("observation series carries no flow schedule")
     try:
-        nets = [series.schedule.network_at(t) for t in series.times[:-1].tolist()]
+        return series.schedule._runs(series.times[:-1])
     except ValidationError as exc:
         raise ScheduleMismatch(str(exc)) from exc
-    starts = [k for k in range(len(nets)) if k == 0 or nets[k] is not nets[k - 1]]
-    return [(a, b, nets[a]) for a, b in zip(starts, starts[1:] + [len(nets)])]
 
 
 def _increments(series: ObservationSeries, nodes: slice, groups) -> np.ndarray:
@@ -282,13 +280,15 @@ def write_estimate_csv(path, estimate: ParameterEstimate) -> None:
 def read_params_csv(path) -> tuple[tuple[str, ...], EpidemicParams]:
     """Read per-node rates from a CSV with the write_estimate_csv column layout
     (extra columns are ignored); ParseError names ``path:line`` of a rate
-    that is not a finite number."""
+    that is not a finite number, or of a node id given twice."""
     rates = ("beta", "sigma", "delta", "alpha")
     node_ids, *cells = read_columns(
         path, ("node_id", *rates),
         ValidationError(f"params CSV needs columns {sorted(('node_id', *rates))}"),
     )
     beta, sigma, delta, alpha = numbers(path, cells, rates)
+    raise_first(path, [(repeated(node_ids), lambda k, where: ParseError(
+        f"{where}: duplicate node_id {text(node_ids[k])!r}"))])
     if not len(node_ids):
         raise ValidationError("params CSV is empty")
     return (tuple(map(text, node_ids.tolist())),

@@ -10,7 +10,6 @@ that appears in every compartment's dynamics.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -81,7 +80,6 @@ class NetworkSchedule:
                 raise ValidationError("all periods must share node ids")
             if not np.array_equal(net.populations, first.populations):
                 raise ValidationError("all periods must share populations")
-        # period ends as the same left-to-right float sums a linear scan makes
         object.__setattr__(self, "_ends", tuple(accumulate(d for d, _ in self.periods)))
 
     @classmethod
@@ -101,16 +99,24 @@ class NetworkSchedule:
 
         With ``clamp=True``, times past the end fall back to the last period.
         """
-        if t < 0:
-            raise ValidationError(f"time {t} is before the schedule start")
-        k = bisect_right(self._ends, t)
-        if k < len(self.periods):
-            return self.periods[k][1]
-        if clamp:
-            return self.periods[-1][1]
-        raise ValidationError(
-            f"time {t} exceeds schedule coverage {self.total_duration}"
-        )
+        return self._runs([t], clamp)[0][2]
+
+    def _runs(self, times, clamp: bool = False) -> list[tuple[int, int, FlowNetwork]]:
+        """The networks in force at the sorted times, as (start, stop, network)
+        for each run times[start:stop] that falls in one period, found by one
+        search of the period ends. ``clamp`` is as for :meth:`network_at`."""
+        times = np.asarray(times, dtype=float)
+        if len(times) and times[0] < 0:
+            raise ValidationError(f"time {float(times[0])} is before the schedule start")
+        k, last = np.searchsorted(self._ends, times, side="right"), len(self.periods) - 1
+        if len(k) and k[-1] > last and not clamp:
+            raise ValidationError(
+                f"time {float(times[np.argmax(k > last)])} exceeds schedule coverage "
+                f"{self.total_duration}"
+            )
+        k = np.minimum(k, last)
+        cuts = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+        return [(a, b, self.periods[k[a]][1]) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def as_schedule(net_or_schedule) -> NetworkSchedule:
@@ -140,34 +146,44 @@ def build_network(
             f"expected populations ({n},) and flows ({n}, {n}); "
             f"got {populations.shape} and {flows.shape}"
         )
-    if not (np.isfinite(populations).all() and np.isfinite(flows).all()):
-        raise ValidationError("populations and flows must be finite")
+    if not np.isfinite(populations).all():
+        raise ValidationError("populations must be finite")
     if np.any(populations <= 0):
         raise NegativeEntry("populations must be strictly positive")
-    if np.any(flows < 0):
-        raise NegativeEntry("flows must be nonnegative")
-    if np.any(np.diag(flows) != 0):
-        raise ValidationError("flows must have a zero diagonal")
-
-    outflow = flows.sum(axis=0)
-    inflow = flows.sum(axis=1)
-    gap = np.abs(outflow - inflow)
-    if math.isfinite(balance_tolerance):
-        bad = gap > balance_tolerance * outflow
-    else:
-        bad = np.zeros_like(gap, dtype=bool)
-    if np.any(bad):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(outflow > 0, gap / outflow, np.where(gap > 0, np.inf, 0.0))
+    _check_flows(flows)
+    rel = _imbalance(flows)
+    if np.any(rel > balance_tolerance):
         worst = int(np.argmax(rel))
         raise BalanceViolation(
             f"flow imbalance at node {node_ids[worst]!r}: relative imbalance "
             f"{rel[worst]:.3e} exceeds tolerance {balance_tolerance:.1e}"
         )
 
+    outflow = flows.sum(axis=0)
     # a column without outflow is all zeros, and divides to zeros
     routing = flows / np.where(outflow > 0, outflow, 1.0)
     return _network(node_ids, populations.copy(), flows.copy(), outflow / populations, routing)
+
+
+def _check_flows(flows: np.ndarray) -> None:
+    """Reject an (n, n) flow matrix or a (P, n, n) stack with an entry that is
+    not finite or is negative, or with a nonzero diagonal."""
+    if not np.isfinite(flows).all():
+        raise ValidationError("flows must be finite")
+    if np.any(flows < 0):
+        raise NegativeEntry("flows must be nonnegative")
+    if np.any(np.diagonal(flows, axis1=-2, axis2=-1) != 0):
+        raise ValidationError("flows must have a zero diagonal")
+
+
+def _imbalance(flows: np.ndarray) -> np.ndarray:
+    """Relative imbalance |outflow - inflow| / outflow of each node of an
+    (n, n) matrix or a (P, n, n) stack: 0 at a node without travel, and inf at
+    one with inflow but no outflow."""
+    out, inn = flows.sum(axis=-2), flows.sum(axis=-1)
+    gap = np.abs(out - inn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(out > 0, gap / out, np.where(gap > 0, np.inf, 0.0))
 
 
 def _network(node_ids, populations, flows, gamma, routing) -> FlowNetwork:
@@ -191,10 +207,7 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
     flows = np.asarray(flows, dtype=float)
     if flows.ndim not in (2, 3) or flows.shape[-1] != flows.shape[-2]:
         raise DimensionMismatch(f"flows must be square, got {flows.shape}")
-    if np.any(flows < 0):
-        raise NegativeEntry("flows must be nonnegative")
-    if np.any(np.diagonal(flows, axis1=-2, axis2=-1) != 0):
-        raise ValidationError("flows must have a zero diagonal")
+    _check_flows(flows)
 
     if method == "symmetrize":
         return 0.5 * (flows + np.swapaxes(flows, -1, -2))
@@ -221,12 +234,8 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
 
 
 def _worst_imbalance(stack: np.ndarray) -> np.ndarray:
-    """Largest relative imbalance |outflow - inflow| / outflow per matrix."""
-    out = stack.sum(axis=-2)
-    inn = stack.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(out > 0, np.abs(out - inn) / out, 0.0)
-    return rel.max(axis=-1, initial=0.0)
+    """Largest relative imbalance of :func:`_imbalance` per matrix."""
+    return _imbalance(stack).max(axis=-1, initial=0.0)
 
 
 def _newton(stack: np.ndarray) -> np.ndarray:

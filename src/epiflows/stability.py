@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (_CYCLE, EpidemicParams, SystemState, Trajectory, _check_dims,
-                       _Kernel, _validate_trajectory_data, derivative)
+                       _check_simplex, _Kernel, derivative)
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -227,7 +227,7 @@ def endemic_existence_indicator(
     if len(trajectory) == 0:
         raise ValidationError("trajectory is empty")
     _check_dims(trajectory.final_state, params, network)
-    _validate_trajectory_data(trajectory.data)
+    _check_simplex(trajectory.data, "trajectory")
     return _existence_indicator(trajectory.data, params, network)
 
 

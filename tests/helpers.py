@@ -6,13 +6,15 @@ import dataclasses
 import datetime
 import heapq
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from epiflows import EpidemicParams, SystemState, balance_flows, build_network
-from epiflows.dynamics import _Kernel, _settle_onto_simplex, _validate_trajectory_data
+from epiflows.dynamics import _check_simplex, _Kernel, _settle_onto_simplex
 from epiflows.errors import (
     DimensionMismatch,
     EmptySchedule,
@@ -284,6 +286,21 @@ def q_and_m_by_blocks(state, params, network):
     return Q, M
 
 
+def network_by_bisect(schedule, t, clamp=False):
+    """The network in force at time t by one bisect_right over the period
+    ends: the per-time lookup NetworkSchedule made before it searched all
+    times at once. Raises what NetworkSchedule._runs raises for t."""
+    if t < 0:
+        raise ValidationError(f"time {t} is before the schedule start")
+    ends = list(accumulate(d for d, _ in schedule.periods))
+    k = bisect_right(ends, t)
+    if k < len(schedule.periods):
+        return schedule.periods[k][1]
+    if clamp:
+        return schedule.periods[-1][1]
+    raise ValidationError(f"time {t} exceeds schedule coverage {ends[-1]}")
+
+
 def integrate_by_steps(state0, params, schedule, t_end, step=0.01):
     """The RK4 loop integrate ran before it stepped in place: a fresh array
     per operation and _settle_onto_simplex after every step. Returns
@@ -325,7 +342,7 @@ def integrate_by_steps(state0, params, schedule, t_end, step=0.01):
             z = _settle_onto_simplex(z, t)
             k += 1
             data[k] = z
-    _validate_trajectory_data(data)
+    _check_simplex(data, "trajectory")
     return times, data
 
 

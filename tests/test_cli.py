@@ -1,9 +1,11 @@
 import csv
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -351,6 +353,19 @@ class TestPredict:
         assert err["error"]["type"] == "ValidationError"
         assert not (tmp_path / "forecast.json").exists()
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_2(self, county_run, tmp_path, capsys, threshold):
+        run_dir, obs, paths, net = county_run
+        code = run("predict", "--observations", str(obs),
+                   "--populations", str(paths["populations"]),
+                   "--flows", str(paths["flows"]), "--aggregation-days", "1",
+                   "--threshold", threshold, "--tau", "8", "--ahead", "5",
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ValidationError"
+        assert not (tmp_path / "forecast.json").exists()
+
     def test_unknown_origin_exits_2(self, county_run, tmp_path, capsys):
         run_dir, obs, paths, net = county_run
         code = run("predict", "--observations", str(obs),
@@ -405,6 +420,18 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'sc
     codes, loaded = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert loaded == []
+
+
+def test_readme_demo_commands_exit_0(tmp_path, monkeypatch):
+    """Every --demo five-node command in README's CLI block, run in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("epiflows ") and "--demo five-node" in line]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(*argv[1:]) == 0, argv
 
 
 class TestValidateData:

@@ -379,6 +379,14 @@ def test_bad_rate_names_its_line(tmp_path):
         read_params_csv(path)
 
 
+def test_duplicate_rate_id_names_its_line(tmp_path):
+    path = tmp_path / "params.csv"
+    path.write_text("node_id,beta,sigma,delta,alpha\na,0.1,0.1,0.1,0.1\n"
+                    "b,0.1,0.1,0.1,0.1\na,0.2,0.2,0.2,0.2\n")
+    with pytest.raises(ParseError, match=r"params\.csv:4: duplicate node_id 'a'"):
+        read_params_csv(path)
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_non_finite_rate_names_its_line(tmp_path, cell):
     path = tmp_path / "params.csv"

@@ -38,7 +38,7 @@ from epiflows.errors import (
     StepTooLarge,
     ValidationError,
 )
-from epiflows.dynamics import _BLOCK, _CYCLE, Trajectory, _Kernel, _validate_trajectory_data
+from epiflows.dynamics import _BLOCK, _CYCLE, Trajectory, _check_simplex, _Kernel
 from epiflows.ingest import _window_sums
 from helpers import (
     PROPERTY_SETTINGS,
@@ -551,7 +551,7 @@ class TestIntegrateOracle:
 
     def test_nan_trajectory_is_invalid(self):
         with pytest.raises(InvalidState):
-            _validate_trajectory_data(np.full((2, 4, 1), np.nan))
+            _check_simplex(np.full((2, 4, 1), np.nan), "trajectory")
 
     def test_step_too_large_same_time_and_message(self):
         net, params, state = too_large_step_node()

@@ -393,6 +393,11 @@ class TestArrivalTimes:
         records = arrival_times(times, signal, 0.5)
         assert [r.node for r in records] == [0, 1]
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValidationError, match="threshold must be finite"):
+            arrival_times(np.arange(3.0), np.zeros((3, 2)), threshold)
+
 
 def star_system(leaf_probs, arrival_slope=5.0, arrival_intercept=3.0):
     """Hub-and-spoke network whose exit probabilities are controlled.

@@ -1,4 +1,6 @@
+import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from helpers import (
     balanceable_stacks,
     balanced_systems,
     coupling_by_formula,
+    network_by_bisect,
     osborne_balance,
     perturbed_by_formula,
     random_balanced_network,
@@ -231,6 +234,15 @@ class TestBalanceFlows:
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             balance_flows(np.zeros((2, 2)), "midpoint")
+
+    @pytest.mark.parametrize("method", ["scale", "symmetrize"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_flows_rejected(self, method, bad, stacked):
+        f = np.array([[0.0, bad], [1.0, 0.0]])
+        flows = np.stack([[[0.0, 1.0], [1.0, 0.0]], f]) if stacked else f
+        with pytest.raises(ValidationError, match="flows must be finite"):
+            balance_flows(flows, method)
 
     def test_balances_where_osborne_runs_out_of_sweeps(self):
         # two lopsided two-node cycles, joined one way by a flow of 3 and back
@@ -505,6 +517,38 @@ class TestSchedule:
                 assert schedule.network_at(t, clamp=True) is nets[-1]
             else:
                 assert schedule.network_at(t) is nets[k]
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.one_of(st.none(), st.lists(st.sampled_from([1e-9, 0.1, 0.3, 1.0, 2.5]),
+                                      min_size=1, max_size=5)),
+        st.lists(st.floats(-2.0, 12.0), max_size=10),
+        st.booleans(),
+    )
+    def test_runs_match_per_time_lookup(self, durations, times, clamp):
+        base = random_balanced_network(np.random.default_rng(6), 3)
+        if durations is None:
+            schedule = NetworkSchedule.static(base)
+        else:
+            nets = [build_network(base.node_ids, base.populations, base.flows)
+                    for _ in durations]
+            schedule = NetworkSchedule(periods=tuple(zip(durations, nets)))
+        ends = list(accumulate(d for d, _ in schedule.periods))
+        # period ends themselves, and the floats next to them, are the edge cases
+        edges = [float(np.nextafter(e, side)) for e in ends if e < math.inf for side in (0, 99)]
+        times = sorted(times + ends + edges)
+        try:
+            want = [network_by_bisect(schedule, t, clamp) for t in times]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                schedule._runs(times, clamp)
+            assert str(raised.value) == str(exc)
+            return
+        runs = schedule._runs(times, clamp)
+        assert [start for start, _, _ in runs] == [0, *(stop for _, stop, _ in runs[:-1])]
+        assert all(start < stop for start, stop, _ in runs)
+        got = [net for start, stop, net in runs for _ in range(start, stop)]
+        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
     def test_mismatched_periods_rejected(self):
         rng = np.random.default_rng(4)
