@@ -24,8 +24,8 @@ RANK_RATIO_TOL = 1e-10
 
 SOLVERS = ("pseudo_inverse", "nnls")
 
-_CHUNK = 128  # nodes per stacked fit, so the (k, 4T, 5) stack stays a few MB at any n
-_QR_BYTES = 8 << 20  # systems per QR call: about 8 MB of them, and at least one
+_CHUNK = 128  # nodes per travel-term product, so its (T, 4, k) result stays small at any n
+_QR_BYTES = 8 << 20  # systems per stack built and factored: about 8 MB of them, and at least one
 
 
 @dataclass(frozen=True)
@@ -149,25 +149,31 @@ def _increments(series: ObservationSeries, nodes: slice, groups) -> np.ndarray:
     return increments
 
 
-def _systems(series: ObservationSeries, nodes: slice, groups) -> np.ndarray:
+def _systems(series: ObservationSeries, nodes: slice, groups):
     """The regression systems [Psi | delta] of the nodes in the slice
-    ``nodes``, stacked as (k, 4T, 5) with rows in the order c*T + t: a view
-    of a (k, 5, 4T) array, so each system's columns are contiguous for QR."""
+    ``nodes``, (4T, 5) each with rows in the order c*T + t, yielded in
+    stacks (m, 4T, 5) of about _QR_BYTES and at least one system. A stack
+    is a view of an (m, 5, 4T) array, so each system's columns are
+    contiguous for QR; qr copies its input, so a long series is built and
+    factored a few MB at a time."""
     increments = _increments(series, nodes, groups).T  # (k, 4, T)
     flux = series.data[:-1, :, nodes].copy()  # (T, 4, k): s x, e, x, r
     flux[:, 0] *= flux[:, 2]
     k, _, t = increments.shape
-    columns = np.empty((k, 5, 4, t))
-    np.multiply((series.h * _CYCLE.T)[:, :, None], flux.T[:, :, None, :], out=columns[:, :4])
-    columns[:, 4] = increments
-    return columns.reshape(k, 5, 4 * t).transpose(0, 2, 1)
+    step = max(1, _QR_BYTES // (5 * 4 * t * 8))
+    for i in range(0, k, step):
+        columns = np.empty((min(step, k - i), 5, 4, t))
+        np.multiply((series.h * _CYCLE.T)[:, :, None], flux.T[i : i + step, :, None, :],
+                    out=columns[:, :4])
+        columns[:, 4] = increments[i : i + step]
+        yield columns.reshape(-1, 5, 4 * t).transpose(0, 2, 1)
 
 
 def _node_system(series: ObservationSeries, node: int) -> np.ndarray:
     groups = _step_groups(series)
     if not 0 <= node < series.n:
         raise ValidationError(f"node index {node} out of range for n={series.n}")
-    return _systems(series, slice(node, node + 1), groups)
+    return next(_systems(series, slice(node, node + 1), groups))
 
 
 def build_regression(series: ObservationSeries, node: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +199,7 @@ def _fit(a: np.ndarray, solver: str):
     """
     if solver not in SOLVERS:
         raise ValidationError(f"solver must be one of {SOLVERS}, got {solver!r}")
-    # qr copies its input, so a long series is factored a few MB at a time
-    step = max(1, _QR_BYTES // a[0].nbytes)
-    r = np.concatenate([np.linalg.qr(a[i : i + step], mode="r") for i in range(0, len(a), step)])
-    # r is (k, 5, 5), or (k, 4, 5) when T = 1
+    r = np.linalg.qr(a, mode="r")  # (k, 5, 5), or (k, 4, 5) when T = 1
     r4, c = r[:, :4, :4], r[:, :4, 4]
     rcond = np.finfo(float).eps * a.shape[1]  # lstsq's cutoff for the rank
     if solver == "nnls":
@@ -234,8 +237,8 @@ def estimate_all(series: ObservationSeries, solver: str = "nnls") -> ParameterEs
     """Per-node estimation across the network (the system decouples by node),
     fitted _CHUNK nodes at a time."""
     groups = _step_groups(series)
-    fits = [_fit(_systems(series, slice(i, i + _CHUNK), groups), solver)
-            for i in range(0, series.n, _CHUNK)]
+    fits = [_fit(a, solver) for i in range(0, series.n, _CHUNK)
+            for a in _systems(series, slice(i, i + _CHUNK), groups)]
     theta, residual, identifiable, cond = map(np.concatenate, zip(*fits))
     beta, sigma, delta, alpha = theta.T
     params = EpidemicParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta, strict=False)

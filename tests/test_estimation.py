@@ -314,14 +314,23 @@ class TestStackedFit:
                 assert min(cond[i], want_cond) > 1.0 / RANK_RATIO_TOL
 
     @PROPERTY_SETTINGS
-    @given(stacked_systems(), st.sampled_from(estimation.SOLVERS))
-    def test_qr_slices_match_one_call(self, a, solver):
-        # each system is factored on its own, so slicing the QR changes no bit
-        whole = estimation._fit(a, solver)
+    @given(balanced_systems(periods=2, max_n=12), st.sampled_from(estimation.SOLVERS))
+    def test_qr_slices_match_one_call(self, system, solver):
+        # each system is built and factored on its own, so slicing the stacks changes no bit
+        nets, params, state = system
+        schedule = NetworkSchedule(periods=tuple((5.0, net) for net in nets))
+        traj = simulate_discrete(state, params, schedule, steps=10, h=0.5,
+                                 noise_std=0.01 if solver == "nnls" else 0.0, rng=0)
+        series = ObservationSeries.from_trajectory(traj)
+        whole = estimate_all(series, solver)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(estimation, "_QR_BYTES", 1)
-            sliced = estimation._fit(a, solver)
-        for got, want in zip(sliced, whole):
+            sliced = estimate_all(series, solver)
+        for name in ("beta", "sigma", "delta", "alpha"):
+            assert np.array_equal(getattr(sliced.params, name), getattr(whole.params, name))
+        for got, want in [(sliced.residual_norm, whole.residual_norm),
+                          (sliced.identifiable, whole.identifiable),
+                          (sliced.condition_number, whole.condition_number)]:
             assert np.array_equal(got, want, equal_nan=True)
 
     @PROPERTY_SETTINGS
