@@ -522,7 +522,7 @@ class TestSchedule:
     @given(
         st.one_of(st.none(), st.lists(st.sampled_from([1e-9, 0.1, 0.3, 1.0, 2.5]),
                                       min_size=1, max_size=5)),
-        st.lists(st.floats(-2.0, 12.0), max_size=10),
+        st.lists(st.floats(-2.0, 12.0) | st.just(math.inf), max_size=10),
         st.booleans(),
     )
     def test_runs_match_per_time_lookup(self, durations, times, clamp):
@@ -533,9 +533,9 @@ class TestSchedule:
             nets = [build_network(base.node_ids, base.populations, base.flows)
                     for _ in durations]
             schedule = NetworkSchedule(periods=tuple(zip(durations, nets)))
-        ends = list(accumulate(d for d, _ in schedule.periods))
+        ends = [e for e in accumulate(d for d, _ in schedule.periods) if e < math.inf]
         # period ends themselves, and the floats next to them, are the edge cases
-        edges = [float(np.nextafter(e, side)) for e in ends if e < math.inf for side in (0, 99)]
+        edges = [float(np.nextafter(e, side)) for e in ends for side in (0, 99)]
         times = sorted(times + ends + edges)
         try:
             want = [network_by_bisect(schedule, t, clamp) for t in times]
@@ -545,7 +545,7 @@ class TestSchedule:
             assert str(raised.value) == str(exc)
             return
         runs = schedule._runs(times, clamp)
-        assert [start for start, _, _ in runs] == [0, *(stop for _, stop, _ in runs[:-1])]
+        assert [start for start, _, _ in runs] == [0, *(stop for _, stop, _ in runs)][:len(runs)]
         assert all(start < stop for start, stop, _ in runs)
         got = [net for start, stop, net in runs for _ in range(start, stop)]
         assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
