@@ -425,10 +425,7 @@ def _emit_scatter_gnuplot(args) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default=".", help="directory for output files")
-    parser.add_argument("--seed", type=int, default=0, help="random seed for noisy runs")
     parser.add_argument("--config", help="JSON file of default option values")
-    parser.add_argument("--gnuplot", action="store_true",
-                        help="also emit gnuplot scripts referencing the CSV outputs")
 
 
 def _add_system_inputs(parser: argparse.ArgumentParser, with_params: bool = True) -> None:
@@ -460,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate the dynamics and write a trajectory")
     _add_common(p)
     _add_system_inputs(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed for the observation noise")
+    p.add_argument("--gnuplot", action="store_true", help="also emit trajectory.gp")
     p.add_argument("--mode", choices=["continuous", "discrete"], default="discrete")
     p.add_argument("--t-end", type=float, default=300.0, help="continuous horizon")
     p.add_argument("--step", type=float, default=0.01, help="RK4 step size")
@@ -502,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="arrival times: full-fit baseline vs sliding window")
     _add_common(p)
     _add_system_inputs(p, with_params=False)
+    p.add_argument("--gnuplot", action="store_true", help="also emit scatter.gp")
     p.add_argument("--observations", help="trajectory CSV carrying the infection signal")
     p.add_argument("--cases", help="cumulative case CSV (arrival = first reported case)")
     p.add_argument("--threshold", type=float, default=1e-3)
@@ -573,13 +573,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config(parser, sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
-    except ValidationError as exc:
-        return _fail(exc, EXIT_VALIDATION)
     except ComputationError as exc:
         return _fail(exc, EXIT_COMPUTATION)
-    except EpiflowsError as exc:
-        return _fail(exc, EXIT_VALIDATION)
-    except OSError as exc:
+    except (EpiflowsError, OSError) as exc:
         return _fail(exc, EXIT_VALIDATION)
 
 

@@ -173,14 +173,12 @@ def arrival_times(times, signal, threshold: float) -> list[ArrivalRecord]:
         raise DimensionMismatch(
             f"signal shape {signal.shape} does not match {len(times)} times"
         )
-    records = []
     crossed = signal > threshold
-    for i in range(signal.shape[1]):
-        hits = np.nonzero(crossed[:, i])[0]
-        if len(hits):
-            records.append(ArrivalRecord(arrival_time=float(times[hits[0]]), node=i))
-    records.sort(key=lambda rec: (rec.arrival_time, rec.node))
-    return records
+    nodes = np.flatnonzero(crossed.any(axis=0))
+    if not len(nodes):
+        return []
+    first = times[crossed.argmax(axis=0)[nodes]]
+    return sorted(map(ArrivalRecord, first.tolist(), nodes.tolist()))
 
 
 def _ols_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -212,7 +210,6 @@ def sliding_window_predict(
         raise InsufficientArrivals(
             f"need more than tau={tau} arrivals before predicting (index {k})"
         )
-    n = len(schedule.node_ids)
     t_base = arrivals[k - tau].arrival_time
     t_now = arrivals[k].arrival_time
 
@@ -237,15 +234,12 @@ def sliding_window_predict(
     net_now = schedule.network_at(t_now, clamp=True)
     dist_now = group_effective_distance(net_now, group_now)
 
-    remaining = [i for i in range(n) if i not in group_now.members]
-    raw = {}
-    for i in remaining:
-        if np.isfinite(dist_now[i]):
-            raw[i] = slope * float(dist_now[i]) + intercept
-    shift = max(0.0, t_now + EPS_SHIFT - min(raw.values())) if raw else 0.0
-    predictions = tuple(
-        (i, raw[i] + shift, float(dist_now[i])) for i in sorted(raw)
-    )
+    reachable = np.isfinite(dist_now)
+    reachable[list(group_now.members)] = False
+    nodes = np.flatnonzero(reachable)
+    raw = slope * dist_now[nodes] + intercept
+    shift = max(0.0, t_now + EPS_SHIFT - float(raw.min())) if len(nodes) else 0.0
+    predictions = tuple(zip(nodes.tolist(), (raw + shift).tolist(), dist_now[nodes].tolist()))
     return ArrivalForecast(
         predictions=predictions,
         fit=(slope, intercept, shift),

@@ -329,9 +329,12 @@ def perturb_flows_balanced(
 ) -> FlowNetwork:
     """Shift outflow fractions by theta while keeping flows balanced.
 
-    theta must keep gamma nonnegative and satisfy the balance identity
+    theta must keep gamma nonnegative, be 0 at every node whose routing
+    column is all zero, and satisfy the balance identity
     ``theta_i = sum_j (N_j/N_i) routing[i, j] theta_j`` within tol; routing
     is kept as-is and flows and coupling are recomputed from gamma + theta.
+    So the coupling carries exactly gamma_j N_j out of each node, and total
+    population is conserved, as for every network from build_network.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != network.gamma.shape:
@@ -343,6 +346,13 @@ def perturb_flows_balanced(
     new_gamma = network.gamma + theta
     if np.any(new_gamma < 0):
         raise NegativeRate("gamma + theta must be nonnegative")
+    stranded = (theta != 0) & ~network.routing.any(axis=0)
+    if stranded.any():
+        j = int(np.argmax(stranded))
+        raise PerturbationUnbalanced(
+            f"theta is {theta[j]:.3e} at node {network.node_ids[j]!r}, which routes "
+            "nowhere: its outflow would leave the network"
+        )
     pops = network.populations
     propagated = (1.0 / pops)[:, None] * network.routing * pops[None, :] @ theta
     residual = float(np.abs(theta - propagated).max())

@@ -3,7 +3,7 @@
 The healthy state (s, e, x, r) = (1, 0, 0, 0) is always an equilibrium; its
 local stability is decided by the spectral abscissa of the Metzler matrix U
 built from the exposed/infected blocks of the healthy-state Jacobian J. The
-dense U, J and M are each kron(I_k, base) plus per-node diagonal blocks, and
+dense U and J are each kron(I_k, base) plus per-node diagonal blocks, and
 J is block lower-triangular, so its spectrum is spec U plus that of its r
 block. The endemic equilibrium is found as a fixed point of the positive map
 f(z) = Q*(z)^-1 M*(z) z with per-node simplex renormalization.
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_CYCLE, EpidemicParams, SystemState, Trajectory, _check_dims,
-                       _check_simplex, _Kernel, derivative)
+from .dynamics import (EpidemicParams, SystemState, Trajectory, _check_dims, _check_simplex,
+                       _Kernel, derivative)
 from .errors import (
+    BalanceViolation,
     DegenerateSpectrum,
     DimensionMismatch,
     EigensolverFailure,
@@ -184,34 +185,25 @@ def spectral_abscissa_condition(Q: np.ndarray, M: np.ndarray) -> float:
     return s
 
 
-def q_and_m_matrices(
-    state: SystemState, params: EpidemicParams, network: FlowNetwork
-) -> tuple[np.ndarray, np.ndarray]:
-    """State-dependent split of the full 4n dynamics, dz = (-Q + M) z."""
-    rates = np.stack([params.beta * state.x, params.sigma, params.delta, params.alpha])
-    Q = np.diag((rates + network.gamma).ravel())
-    M = _assemble(network.coupling, np.maximum(_CYCLE, 0.0)[:, :, None] * rates)
-    return Q, M
-
-
-def _existence_indicator(
-    states: np.ndarray, params: EpidemicParams, network: FlowNetwork
-) -> float:
-    """min over the (4, n) states of s(-Q + M), by Collatz-Wielandt enclosures:
-    s(B) lies in [min r, max r], r = (v^T B) / v, for Metzler B and v > 0.
-    The cycle matrix's columns sum to 0, so for the stacked populations v the
-    rates drop out and r_j = (N^T A)_j / N_j, A = Phi - diag(gamma): the gap
-    between what the coupling carries out of node j and gamma_j N_j, one
-    enclosure for all states and rates (closed up to rounding for networks
-    from build_network). Its midpoint is taken when it is within 1e-12 of the
-    largest rate wide, else dense eigenvalues of M - Q at each state."""
+def _existence_indicator(params: EpidemicParams, network: FlowNetwork) -> float:
+    """s(-Q + M) at every state, by Collatz-Wielandt enclosures: s(B) lies in
+    [min r, max r], r = (v^T B) / v, for Metzler B and v > 0. The cycle
+    matrix's columns sum to 0, so for the stacked populations v the rates
+    drop out and r_j = (N^T A)_j / N_j, A = Phi - diag(gamma): the gap between
+    what the coupling carries out of node j and gamma_j N_j, one enclosure for
+    all states and rates. It closes up to rounding for every network from
+    build_network or perturb_flows_balanced, and its midpoint is taken; one
+    wider than 1e-12 of the largest rate means gamma disagrees with the flows
+    and population leaks, which raises BalanceViolation."""
     v = np.broadcast_to(network.populations, (4, network.n))
     ratios = v @ (network.coupling - np.diag(network.gamma)) / v
     low, high = ratios.min(), ratios.max()
     scale = np.max([params.alpha, params.beta, params.sigma, params.delta, network.gamma])
     if high - low > 1e-12 * scale:
-        pairs = (q_and_m_matrices(SystemState.from_matrix(z), params, network) for z in states)
-        return min(spectral_abscissa(M - Q) for Q, M in pairs)
+        raise BalanceViolation(
+            f"the network does not conserve population: outflow gaps span "
+            f"[{low:.3e}, {high:.3e}], wider than 1e-12 of the largest rate {scale:.3e}"
+        )
     return float(0.5 * (low + high))
 
 
@@ -222,13 +214,15 @@ def endemic_existence_indicator(
 
     Total population is conserved, so the stacked populations are a positive
     left null vector of -Q + M at every state and the value is 0 up to
-    rounding (Perron-Frobenius): it cannot certify endemic existence.
+    rounding (Perron-Frobenius): it cannot certify endemic existence. A
+    network whose gamma disagrees with its flows, which only a hand-built one
+    can, raises BalanceViolation.
     """
     if len(trajectory) == 0:
         raise ValidationError("trajectory is empty")
     _check_dims(trajectory.final_state, params, network)
     _check_simplex(trajectory.data, "trajectory")
-    return _existence_indicator(trajectory.data, params, network)
+    return _existence_indicator(params, network)
 
 
 def solve_endemic(
@@ -280,9 +274,7 @@ def solve_endemic(
                 state=state,
                 residual=residual,
                 iterations=iteration,
-                existence_indicator=_existence_indicator(
-                    state.as_matrix()[None], params, network
-                ),
+                existence_indicator=_existence_indicator(params, network),
             )
         z = (1.0 - damping) * z + damping * (fz / fz.sum(axis=0))
     raise NoConvergence(

@@ -550,6 +550,40 @@ class TestCommandLine:
         assert "error" in json.loads(captured.err)
         assert "usage" not in captured.err + captured.out
 
+    def test_each_command_takes_only_options_it_reads(self):
+        system = {"demo", "populations", "flows", "aggregation_days"}
+        want = {
+            "simulate": system | {"params", "seed", "gnuplot", "mode", "t_end", "step",
+                                  "steps", "h", "noise_std", "initial", "seed_node",
+                                  "seed_exposed"},
+            "stability": system | {"params", "marginal_band", "endemic", "tolerance",
+                                   "max_iterations", "damping", "perturb_scale"},
+            "estimate": system | {"observations", "cases", "solver"},
+            "distance": system | {"source", "infected"},
+            "predict": system | {"gnuplot", "observations", "cases", "threshold", "tau",
+                                 "ahead", "origin"},
+            "validate-data": {"populations", "flows", "cases", "aggregation_days"},
+        }
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        got = {name: {a.dest for a in p._actions} - {"help", "out_dir", "config"}
+               for name, p in sub.choices.items()}
+        assert got == want
+
+    def test_gnuplot_on_stability_exits_2(self, tmp_path, capsys):
+        assert run("stability", "--demo", "five-node", "--gnuplot",
+                   "--out-dir", str(tmp_path)) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        assert "--gnuplot" in error["message"]
+        assert not (tmp_path / "stability.json").exists()
+
+    def test_seed_in_config_of_stability_is_an_unknown_key(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 3}))
+        assert run("stability", "--demo", "five-node", "--config", str(config),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "unknown keys: ['seed']" in json.loads(capsys.readouterr().err)["error"]["message"]
+
 
 class TestOutputFiles:
     def test_mode_follows_umask(self, tmp_path):

@@ -143,7 +143,9 @@ class TestBuildNetwork:
 
 def assert_matches_formulas(net, c):
     """The network's derived arrays, and those of its perturbation by
-    theta = c * gamma, equal the formulas written out, to the bit."""
+    theta = c * gamma, equal the formulas written out, to the bit, and the
+    perturbed coupling carries gamma_j N_j out of each node, so population
+    is conserved."""
     assert np.array_equal(net.routing, routing_by_masked_divide(net.flows))
     assert np.array_equal(net.gamma, net.flows.sum(axis=0) / net.populations)
     assert np.array_equal(net.coupling,
@@ -152,6 +154,8 @@ def assert_matches_formulas(net, c):
     want = perturbed_by_formula(net, c * net.gamma)
     for got, expected in zip((out.flows, out.gamma, out.coupling), want):
         assert np.array_equal(got, expected)
+    gap = net.populations @ (out.coupling - np.diag(out.gamma))
+    assert np.abs(gap).max() <= 1e-12 * max(1.0, (out.gamma * net.populations).max())
     assert out.routing is net.routing and out.populations is net.populations
     for a in (net.populations, net.flows, net.gamma, net.routing, net.coupling,
               out.flows, out.gamma, out.coupling):
@@ -480,6 +484,14 @@ class TestPerturbFlows:
         net = random_balanced_network(rng, 4)
         with pytest.raises(NegativeRate):
             perturb_flows_balanced(net, -1.5 * net.gamma)
+
+    def test_theta_at_node_without_outflow_rejected(self):
+        # theta_c is within the balance tolerance, but c routes nowhere, so
+        # gamma_c would carry people out over an all-zero routing column
+        flows = np.array([[0.0, 4.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        net = build_network(["a", "b", "c"], [100.0, 200.0, 50.0], flows)
+        with pytest.raises(PerturbationUnbalanced, match="'c'"):
+            perturb_flows_balanced(net, [0.0, 0.0, 5e-11])
 
 
 class TestSchedule:
