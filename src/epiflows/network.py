@@ -346,13 +346,10 @@ def perturb_flows_balanced(
     new_gamma = network.gamma + theta
     if np.any(new_gamma < 0):
         raise NegativeRate("gamma + theta must be nonnegative")
-    stranded = (theta != 0) & ~network.routing.any(axis=0)
-    if stranded.any():
-        j = int(np.argmax(stranded))
+    stranded = np.flatnonzero((theta != 0) & ~network.routing.any(axis=0))
+    if len(stranded):
         raise PerturbationUnbalanced(
-            f"theta is {theta[j]:.3e} at node {network.node_ids[j]!r}, which routes "
-            "nowhere: its outflow would leave the network"
-        )
+            f"theta must be 0 at node {network.node_ids[stranded[0]]!r}, which routes nowhere")
     pops = network.populations
     propagated = (1.0 / pops)[:, None] * network.routing * pops[None, :] @ theta
     residual = float(np.abs(theta - propagated).max())

@@ -551,7 +551,8 @@ class TestCommandLine:
         assert "usage" not in captured.err + captured.out
 
     def test_each_command_takes_only_options_it_reads(self):
-        system = {"demo", "populations", "flows", "aggregation_days"}
+        common = {"out_dir", "config"}
+        system = common | {"demo", "populations", "flows", "aggregation_days"}
         want = {
             "simulate": system | {"params", "seed", "gnuplot", "mode", "t_end", "step",
                                   "steps", "h", "noise_std", "initial", "seed_node",
@@ -562,11 +563,10 @@ class TestCommandLine:
             "distance": system | {"source", "infected"},
             "predict": system | {"gnuplot", "observations", "cases", "threshold", "tau",
                                  "ahead", "origin"},
-            "validate-data": {"populations", "flows", "cases", "aggregation_days"},
+            "validate-data": common | {"populations", "flows", "cases", "aggregation_days"},
         }
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-        got = {name: {a.dest for a in p._actions} - {"help", "out_dir", "config"}
-               for name, p in sub.choices.items()}
+        got = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
         assert got == want
 
     def test_gnuplot_on_stability_exits_2(self, tmp_path, capsys):
