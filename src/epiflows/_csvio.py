@@ -1,4 +1,4 @@
-"""Column-wise CSV reading shared by the file readers.
+"""Column-wise CSV reading and writing shared by every CSV file.
 
 A file is read once as bytes. When it holds no ``"`` and no lone ``\\r``
 and every non-blank data row has the header's field count, numpy finds the
@@ -9,6 +9,9 @@ both paths give identical columns and hence identical values and errors.
 A leading UTF-8 byte-order mark is skipped; a byte that is not UTF-8 text
 (or is NUL) is a ParseError. Messages name ``path:line``, counting the
 header as line 1 and skipping blank lines as ``csv.DictReader`` does.
+
+Files are written a column at a time, with the bytes ``csv.writer`` gives:
+minimal quoting, ``\\r\\n`` line ends, and numbers as their ``repr``.
 """
 from __future__ import annotations
 
@@ -257,3 +260,26 @@ def numbers(path, columns, names) -> list[np.ndarray]:
         for (_, bad), column, name in zip(parsed, columns, names)
     ])
     return [values for values, _ in parsed]
+
+
+def cell(text: str) -> str:
+    """text as csv.writer writes it as one cell of a row of several."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
+def reprs(values):
+    """The cells of numbers: repr of each as a float, which never needs quoting."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def write_columns(path, header, columns) -> None:
+    """A CSV file of the header row, then one row per item of the columns
+    taken in step. Each column is an iterable of finished cells (``cell`` of
+    a text, ``reprs`` of numbers), and there are at least two, as ``cell``
+    assumes."""
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(row.format(*map(cell, header)))
+        fh.writelines(map(row.format, *columns))

@@ -7,7 +7,6 @@ Reports are JSON, bulk series are CSV, and every file is written atomically
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -16,6 +15,7 @@ import tempfile
 import numpy as np
 
 from . import demo
+from ._csvio import cell, reprs, write_columns
 from .dynamics import (
     SystemState,
     Trajectory,
@@ -104,14 +104,8 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    def body(tmp):
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-
-    _atomic_write(path, body)
+def _write_csv(path: str, header, columns) -> None:
+    _atomic_write(path, lambda tmp: write_columns(tmp, header, columns))
 
 
 def _out(args, name: str) -> str:
@@ -124,8 +118,8 @@ def _out(args, name: str) -> str:
 def _load_system(args, need_params: bool = True):
     """Resolve the (schedule, params) pair from --demo or data files."""
     if args.demo:
-        if args.demo != "five-node":
-            raise ValidationError(f"unknown demo system {args.demo!r}")
+        if args.populations or args.flows or getattr(args, "params", None):
+            raise ValidationError("provide --demo five-node or data files, not both")
         network, params = demo.five_node_system()
         return NetworkSchedule.static(network), params
     if not args.populations or not args.flows:
@@ -154,12 +148,10 @@ def _initial_state(args, schedule: NetworkSchedule) -> SystemState:
         return demo.five_node_initial_state()
     if args.initial == "healthy":
         return SystemState.healthy(n)
-    if args.initial == "seeded":
-        if args.seed_node is None:
-            raise ValidationError("--initial seeded requires --seed-node")
-        origin = schedule.periods[0][1].node_index(args.seed_node)
-        return demo.seeded_initial_state(n, origin, args.seed_exposed)
-    raise ValidationError(f"unknown initial state {args.initial!r}")
+    if args.seed_node is None:
+        raise ValidationError("--initial seeded requires --seed-node")
+    origin = schedule.periods[0][1].node_index(args.seed_node)
+    return demo.seeded_initial_state(n, origin, args.seed_exposed)
 
 
 def _load_observations(args) -> tuple[ObservationSeries, CaseSeries | None]:
@@ -262,11 +254,8 @@ def cmd_distance(args) -> int:
         members = frozenset(network.node_index(x) for x in args.infected.split(","))
         dist = group_effective_distance(network, InfectedSet(members=members))
         label = {"kind": "from_group", "members": sorted(args.infected.split(","))}
-    rows = [
-        [node_ids[i], repr(float(dist[i])) if np.isfinite(dist[i]) else "inf"]
-        for i in range(network.n)
-    ]
-    _write_csv(_out(args, "distances.csv"), ["node_id", "effective_distance"], rows)
+    _write_csv(_out(args, "distances.csv"), ["node_id", "effective_distance"],
+               [map(cell, node_ids), reprs(dist)])
     _write_json(_out(args, "distances.json"), label | {
         "distances": {node_ids[i]: (float(dist[i]) if np.isfinite(dist[i]) else None)
                       for i in range(network.n)}})
@@ -334,20 +323,13 @@ def cmd_predict(args) -> int:
         "rms_reduction": reduction,
     }
     _write_json(_out(args, "forecast.json"), payload)
-    rows = [
-        [
-            node_ids[a.node],
-            repr(float(origin_dist[a.node])),
-            repr(a.arrival_time),
-            repr(fit.slope * float(origin_dist[a.node]) + fit.intercept),
-        ]
-        for a in arrivals
-        if np.isfinite(origin_dist[a.node])
-    ]
+    shown = [a for a in arrivals if np.isfinite(origin_dist[a.node])]
+    dist = origin_dist[[a.node for a in shown]]
     _write_csv(
         _out(args, "scatter.csv"),
         ["node_id", "effective_distance", "actual_arrival", "predicted_arrival"],
-        rows,
+        [(cell(node_ids[a.node]) for a in shown), reprs(dist),
+         reprs([a.arrival_time for a in shown]), reprs(fit.slope * dist + fit.intercept)],
     )
     if args.gnuplot:
         _emit_scatter_gnuplot(args)

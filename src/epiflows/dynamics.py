@@ -10,18 +10,18 @@ and O(n^2) memory.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
-from ._csvio import distinct, indices, numbers, read_columns
+from ._csvio import (cell, distinct, indices, numbers, raise_first, read_columns, repeated,
+                     reprs, text, write_columns)
 from .errors import (
     DimensionMismatch,
     InvalidState,
+    ParseError,
     StateLeftSimplex,
     StepTooLarge,
     ValidationError,
@@ -371,34 +371,21 @@ def simulate_discrete(
     return Trajectory(times=times, data=observed, schedule=schedule)
 
 
-def _csv_cell(text: str) -> str:
-    """text as csv.writer writes it as one cell of a row of several."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow([text, ""])
-    return buffer.getvalue()[: -len(",\r\n")]
-
-
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
-    """CSV with columns time, node_id, s, e, x, r (one row per node and time).
-
-    The bytes are those of csv.writer with a repr of every number (repr
-    never needs quoting), built column-wise.
-    """
-    node_ids = [_csv_cell(nid) for nid in trajectory.schedule.node_ids]
+    """CSV with columns time, node_id, s, e, x, r (one row per node and time),
+    built column-wise: each time's cell is formatted once for all nodes."""
+    node_ids = [cell(nid) for nid in trajectory.schedule.node_ids]
     data = np.asarray(trajectory.data, dtype=float)
-    times = map(repr, np.asarray(trajectory.times, dtype=float).tolist())
-    columns = [chain.from_iterable(repeat(t, len(node_ids)) for t in times), node_ids * len(data)]
-    columns += [map(repr, data[:, c, :].ravel().tolist()) for c in range(4)]
-    with open(path, "w", newline="") as fh:
-        fh.write("time,node_id,s,e,x,r\r\n")
-        fh.writelines(map("{},{},{},{},{},{}\r\n".format, *columns))
+    times = chain.from_iterable(repeat(t, len(node_ids)) for t in reprs(trajectory.times))
+    write_columns(path, ("time", "node_id", "s", "e", "x", "r"),
+                  [times, node_ids * len(data), *(reprs(data[:, c, :].ravel()) for c in range(4))])
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """Inverse of write_trajectory_csv: (times, node_ids, data (T, 4, n)).
 
     Raises ParseError naming ``path:line`` for a cell that is not a finite
-    number.
+    number, or for a second row of one node and time.
     """
     names = ("time", "node_id", "s", "e", "x", "r")
     time_cells, node_cells, *value_cells = read_columns(
@@ -410,6 +397,9 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     node_ids = distinct(node_cells)
     node = indices(node_cells, {nid: i for i, nid in enumerate(node_ids)})
     times, slot = np.unique(stamps, return_inverse=True)
+    if len(node) > len(times) * len(node_ids):  # else a repeat leaves a pair missing
+        raise_first(path, [(repeated(slot * len(node_ids) + node), lambda k, where: ParseError(
+            f"{where}: duplicate entry for {text(node_cells[k])!r} at time {float(stamps[k])!r}"))])
     data = np.full((len(times), 4, len(node_ids)), np.nan)
     data[slot, :, node] = np.stack(values, axis=1)
     if math.isnan(data.min()):  # a node/time pair with no row

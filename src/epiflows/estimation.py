@@ -10,12 +10,11 @@ Squares Problems, 1974, ch. 23), so no iterative solver is needed.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import numbers, raise_first, read_columns, repeated, text
+from ._csvio import cell, numbers, raise_first, read_columns, repeated, reprs, text, write_columns
 from .dynamics import _CYCLE, EpidemicParams, SystemState, Trajectory
 from .errors import DimensionMismatch, ParseError, ScheduleMismatch, ValidationError
 from .network import FlowNetwork, NetworkSchedule
@@ -266,18 +265,14 @@ def parameter_rmse(true_params, estimated) -> tuple[float, float, float, float]:
 
 
 def write_estimate_csv(path, estimate: ParameterEstimate) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["node_id", "beta", "sigma", "delta", "alpha", "residual",
-             "identifiable", "condition_number"]
-        )
-        for row in estimate.to_dict()["nodes"]:
-            writer.writerow(
-                [row["node_id"]]
-                + [repr(row[k]) for k in ("beta", "sigma", "delta", "alpha", "residual")]
-                + [str(row["identifiable"]).lower(), repr(row["condition_number"])]
-            )
+    p = estimate.params
+    write_columns(path, ("node_id", "beta", "sigma", "delta", "alpha", "residual",
+                         "identifiable", "condition_number"), [
+        map(cell, estimate.node_ids),
+        *map(reprs, (p.beta, p.sigma, p.delta, p.alpha, estimate.residual_norm)),
+        ["true" if ok else "false" for ok in np.asarray(estimate.identifiable, bool).tolist()],
+        reprs(estimate.condition_number),
+    ])
 
 
 def read_params_csv(path) -> tuple[tuple[str, ...], EpidemicParams]:

@@ -146,6 +146,8 @@ def build_network(
             f"expected populations ({n},) and flows ({n}, {n}); "
             f"got {populations.shape} and {flows.shape}"
         )
+    if len(set(node_ids)) < n:
+        raise ValidationError("node ids must be distinct")
     if not np.isfinite(populations).all():
         raise ValidationError("populations must be finite")
     if np.any(populations <= 0):

@@ -579,6 +579,53 @@ def write_trajectory_by_rows(path, trajectory):
                 )
 
 
+def write_estimate_by_rows(path, estimate):
+    """The csv.writer row loop over to_dict() write_estimate_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["node_id", "beta", "sigma", "delta", "alpha", "residual",
+             "identifiable", "condition_number"]
+        )
+        for row in estimate.to_dict()["nodes"]:
+            writer.writerow(
+                [row["node_id"]]
+                + [repr(row[k]) for k in ("beta", "sigma", "delta", "alpha", "residual")]
+                + [str(row["identifiable"]).lower(), repr(row["condition_number"])]
+            )
+
+
+def write_rows_by_csv_writer(path, header, rows):
+    """The csv.writer row loop the CLI wrote distances.csv and scatter.csv with."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def distance_rows(node_ids, dist):
+    """The rows of distances.csv as the CLI formatted them, "inf" spelled out."""
+    return [
+        [node_ids[i], repr(float(dist[i])) if np.isfinite(dist[i]) else "inf"]
+        for i in range(len(node_ids))
+    ]
+
+
+def scatter_rows(node_ids, arrivals, origin_dist, fit):
+    """The rows of scatter.csv as the CLI formatted them, one per arrival at
+    a finite distance from the origin."""
+    return [
+        [
+            node_ids[a.node],
+            repr(float(origin_dist[a.node])),
+            repr(a.arrival_time),
+            repr(fit.slope * float(origin_dist[a.node]) + fit.intercept),
+        ]
+        for a in arrivals
+        if np.isfinite(origin_dist[a.node])
+    ]
+
+
 def read_trajectory_by_rows(path):
     """The csv.DictReader reader read_trajectory_csv replaced."""
     rows = []

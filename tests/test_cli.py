@@ -505,7 +505,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("overrides", [
         {"steps": 2.5}, {"steps": True}, {"steps": [3]}, {"steps": "2.5"},
-        {"noise_std": "abc"}, {"mode": "sideways"}, {"gnuplot": "yes"},
+        {"noise_std": "abc"}, {"mode": "sideways"}, {"gnuplot": "yes"}, {"initial": "bogus"},
     ])
     def test_config_value_invalid_for_its_flag_exits_2(self, tmp_path, capsys, overrides):
         config = tmp_path / "cfg.json"
@@ -543,12 +543,25 @@ class TestCommandLine:
         ["simulate", "--mode", "sideways"],
         ["nonsense"],
         [],
+        ["simulate", "--demo", "other"],
+        ["simulate", "--demo", "five-node", "--initial", "bogus"],
     ])
     def test_bad_command_line_exits_2_with_json(self, capsys, argv):
         assert run(*argv) == 2
         captured = capsys.readouterr()
         assert "error" in json.loads(captured.err)
         assert "usage" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("flag", ["populations", "flows", "params"])
+    def test_demo_beside_data_files_exits_2(self, tmp_path, capsys, flag):
+        net, params = five_node_system()
+        paths = dump_system_csvs(tmp_path, net, params)
+        code = run("stability", "--demo", "five-node", f"--{flag}", str(paths[flag]),
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+        assert not (tmp_path / "stability.json").exists()
 
     def test_each_command_takes_only_options_it_reads(self):
         common = {"out_dir", "config"}

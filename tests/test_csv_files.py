@@ -1,5 +1,5 @@
-"""The column-wise CSV readers and the trajectory writer against the row-loop
-versions they replaced (tests/helpers.py), on random and malformed files."""
+"""The column-wise CSV readers and writers against the row-loop versions
+they replaced (tests/helpers.py), on random and malformed files."""
 import codecs
 import csv
 import json
@@ -16,13 +16,23 @@ from hypothesis import strategies as st
 import epiflows
 from epiflows import _csvio
 from epiflows import (
+    EpidemicParams,
+    ParameterEstimate,
     Trajectory,
+    arrival_times,
     build_network,
+    effective_distance_from,
+    full_fit_baseline,
     load_flows,
     load_populations,
+    log_distance_graph,
     read_trajectory_csv,
+    simulate_discrete,
+    write_estimate_csv,
     write_trajectory_csv,
 )
+from epiflows.cli import main
+from epiflows.demo import seeded_initial_state
 from epiflows.errors import EpiflowsError, ParseError
 from epiflows.estimation import read_params_csv
 from epiflows.ingest import _window_sums
@@ -30,14 +40,20 @@ from epiflows.network import NetworkSchedule
 
 from helpers import (
     PROPERTY_SETTINGS,
+    distance_rows,
     load_flows_by_rows,
     read_trajectory_by_rows,
+    scatter_rows,
     window_sums_by_rows,
+    write_estimate_by_rows,
+    write_rows_by_csv_writer,
     write_trajectory_by_rows,
 )
 
 # ids that need quoting, or hold spaces, alongside plain ones
 NODE_IDS = ("a", "b,c", 'd"e', " f", "g")
+# and an empty id, a line break and a single quote
+WRITTEN_IDS = NODE_IDS + ("", "h\nnewline", "i'j")
 DATES = [f"2020-03-{d:02d}" for d in range(1, 20)]
 
 
@@ -321,8 +337,7 @@ def trajectories(max_times=6, max_nodes=4):
     @st.composite
     def build(draw):
         n = draw(st.integers(1, max_nodes))
-        ids = draw(st.lists(st.sampled_from(NODE_IDS + ("", "h\nnewline", "i'j")),
-                            min_size=n, max_size=n, unique=True))
+        ids = draw(st.lists(st.sampled_from(WRITTEN_IDS), min_size=n, max_size=n, unique=True))
         steps = draw(st.lists(st.floats(1e-6, 50.0), min_size=1, max_size=max_times))
         times = np.cumsum(steps) - steps[0] * draw(st.sampled_from([0.0, 1.0]))
         data = draw(st.lists(st.floats(0.0, 1.0), min_size=4 * n * len(times),
@@ -370,6 +385,97 @@ class TestTrajectoryFiles:
         path.write_text("time,node_id,s,e,x,r\n0.0,a,1,0,0,0\n1.0,a,1,0,zz,0\n")
         with pytest.raises(ParseError, match=r"traj\.csv:3: bad x value 'zz'"):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("rows, line", [
+        (["1.0,a,0.9,0.1,0,0", "1.0,a,0.5,0.5,0,0"], 3),
+        (["0,a,1,0,0,0", "0,b,1,0,0,0", "1,a,1,0,0,0", "1.0,a,0.5,0.5,0,0", "1,b,1,0,0,0"], 5),
+    ])
+    def test_repeated_row_names_its_line(self, tmp_path, rows, line):
+        path = tmp_path / "traj.csv"
+        path.write_text("time,node_id,s,e,x,r\n" + "\n".join(rows) + "\n")
+        message = rf"traj\.csv:{line}: duplicate entry for 'a' at time 1\.0"
+        with pytest.raises(ParseError, match=message):
+            read_trajectory_csv(path)
+
+
+@st.composite
+def estimates(draw):
+    n = draw(st.integers(1, len(WRITTEN_IDS)))
+    ids = draw(st.lists(st.sampled_from(WRITTEN_IDS), min_size=n, max_size=n, unique=True))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    rates = st.floats(allow_nan=False, allow_infinity=False)
+    alpha, beta, sigma, delta = (column(rates) for _ in range(4))
+    params = EpidemicParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta, strict=False)
+    return ParameterEstimate(tuple(ids), params, column(st.floats()), column(st.booleans()),
+                             column(st.floats()))
+
+
+@PROPERTY_SETTINGS
+@given(estimates())
+def test_estimate_bytes_match_row_loop(tmp_path_factory, estimate):
+    folder = tmp_path_factory.mktemp("estimate")
+    write_estimate_csv(folder / "new.csv", estimate)
+    write_estimate_by_rows(folder / "old.csv", estimate)
+    assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def written_ids_run(tmp_path_factory):
+    """Populations, flows and an observed epidemic for a network named by
+    WRITTEN_IDS. Its last two nodes trade only with each other, so no path
+    reaches them from the rest and they never get infected."""
+    folder = tmp_path_factory.mktemp("written-ids")
+    rng = np.random.default_rng(5)
+    n = len(WRITTEN_IDS)
+    flows = np.zeros((n, n))
+    for part in (slice(0, n - 2), slice(n - 2, n)):
+        block = rng.uniform(5.0, 50.0, (part.stop - part.start,) * 2)
+        flows[part, part] = block + block.T
+    np.fill_diagonal(flows, 0.0)
+    paths = {name: folder / f"{name}.csv" for name in ("populations", "flows", "observations")}
+    write_rows(paths["populations"], ["node_id", "population"],
+               [[nid, repr(p)] for nid, p in zip(WRITTEN_IDS, rng.uniform(1e3, 1e4, n).tolist())],
+               True, False)
+    write_rows(paths["flows"], ["date", "from_id", "to_id", "trips"],
+               [["2020-03-01", WRITTEN_IDS[j], WRITTEN_IDS[i], repr(float(flows[i, j]))]
+                for i, j in zip(*np.nonzero(flows))], True, False)
+    network = load_flows(paths["flows"], *load_populations(paths["populations"]), 1).periods[0][1]
+    params = EpidemicParams(alpha=np.full(n, 0.02), beta=np.full(n, 0.6),
+                            sigma=np.full(n, 0.3), delta=np.full(n, 0.1))
+    trajectory = simulate_discrete(seeded_initial_state(n, 0, 1e-3), params, network, steps=150)
+    write_trajectory_csv(paths["observations"], trajectory)
+    files = ["--populations", str(paths["populations"]), "--flows", str(paths["flows"]),
+             "--aggregation-days", "1"]
+    return files, paths, network, trajectory
+
+
+def test_distances_bytes_match_row_loop(written_ids_run, tmp_path):
+    files, _, network, _ = written_ids_run
+    assert main(["distance", *files, "--source", WRITTEN_IDS[0], "--out-dir", str(tmp_path)]) == 0
+    dist = effective_distance_from(log_distance_graph(network), 0)
+    assert np.isinf(dist).sum() == 2
+    write_rows_by_csv_writer(tmp_path / "old.csv", ["node_id", "effective_distance"],
+                             distance_rows(network.node_ids, dist))
+    assert (tmp_path / "distances.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_scatter_bytes_match_row_loop(written_ids_run, tmp_path):
+    files, paths, network, trajectory = written_ids_run
+    assert main(["predict", *files, "--observations", str(paths["observations"]),
+                 "--tau", "2", "--ahead", "1", "--out-dir", str(tmp_path)]) == 0
+    arrivals = arrival_times(trajectory.times, trajectory.data[:, 2, :], 1e-3)
+    assert len(arrivals) == len(WRITTEN_IDS) - 2
+    origin_dist = effective_distance_from(log_distance_graph(network), arrivals[0].node)
+    write_rows_by_csv_writer(
+        tmp_path / "old.csv",
+        ["node_id", "effective_distance", "actual_arrival", "predicted_arrival"],
+        scatter_rows(network.node_ids, arrivals, origin_dist,
+                     full_fit_baseline(arrivals, origin_dist)),
+    )
+    assert (tmp_path / "scatter.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_bad_rate_names_its_line(tmp_path):

@@ -107,6 +107,10 @@ class TestBuildNetwork:
         with pytest.raises(ValidationError):
             build_network(["a", "b"], [1.0, 1.0], [[1, 1], [1, 0]])
 
+    def test_repeated_node_id_rejected(self):
+        with pytest.raises(ValidationError, match="distinct"):
+            build_network(["a", "a"], [1.0, 1.0], np.zeros((2, 2)))
+
     @pytest.mark.parametrize("populations, flows", [
         ([np.nan, 10.0], [[0.0, 1.0], [1.0, 0.0]]),
         ([np.inf, 10.0], [[0.0, 1.0], [1.0, 0.0]]),
