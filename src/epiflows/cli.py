@@ -26,13 +26,13 @@ from .dynamics import (
 )
 from .effdist import (
     InfectedSet,
+    _forecast_sweep,
     arrival_times,
     effective_distance_from,
     full_fit_baseline,
     group_effective_distance,
     log_distance_graph,
     prediction_rms,
-    sliding_window_predict,
 )
 from .errors import (
     ComputationError,
@@ -253,7 +253,7 @@ def cmd_distance(args) -> int:
     else:
         members = frozenset(network.node_index(x) for x in args.infected.split(","))
         dist = group_effective_distance(network, InfectedSet(members=members))
-        label = {"kind": "from_group", "members": sorted(args.infected.split(","))}
+        label = {"kind": "from_group", "members": sorted(node_ids[i] for i in members)}
     _write_csv(_out(args, "distances.csv"), ["node_id", "effective_distance"],
                [map(cell, node_ids), reprs(dist)])
     _write_json(_out(args, "distances.json"), label | {
@@ -288,10 +288,9 @@ def cmd_predict(args) -> int:
     origin_dist = effective_distance_from(log_distance_graph(origin_net), origin)
     fit = full_fit_baseline(arrivals, origin_dist)
 
-    actual = {a.node: a.arrival_time for a in arrivals}
     window_runs = []
-    for k in range(args.tau, len(arrivals) - args.ahead):
-        forecast = sliding_window_predict(arrivals, schedule, args.tau, k)
+    indices = range(args.tau, len(arrivals) - args.ahead)
+    for k, forecast in zip(indices, _forecast_sweep(arrivals, schedule, args.tau, indices)):
         targets = {a.node: a.arrival_time for a in arrivals[k + 1 : k + 1 + args.ahead]}
         predicted = {i: t for i, t in forecast.predicted().items() if i in targets}
         if not predicted:

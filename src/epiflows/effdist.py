@@ -89,28 +89,33 @@ class ArrivalForecast:
         }
 
 
+def _hop_costs(weights: np.ndarray) -> np.ndarray:
+    """Overwrite a fresh square array of hop weights, a row per hop origin,
+    with the hop costs: 0 on the diagonal, -log w where w > 0, inf otherwise."""
+    with np.errstate(divide="ignore"):
+        np.log(weights, out=weights)
+    np.subtract(0.0, weights, out=weights)  # 0.0 - keeps -log 1 at +0.0
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
 def log_distance_graph(network: FlowNetwork) -> DistanceGraph:
     """One-step costs: 0 on the diagonal, -log w where w > 0, inf otherwise.
 
     d.T is C-contiguous, a row per hop origin, as the Dijkstra relaxes it."""
-    with np.errstate(divide="ignore"):
-        d = np.log(network.routing.T, order="C").T
-    np.subtract(0.0, d, out=d)  # 0.0 - keeps -log 1 at +0.0
-    np.fill_diagonal(d, 0.0)
-    return DistanceGraph(d=d)
+    return DistanceGraph(d=_hop_costs(network.routing.T.copy()).T)
 
 
-def _shortest_paths(cost: np.ndarray, dist: np.ndarray, final: np.ndarray) -> np.ndarray:
+def _shortest_paths(cost: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Label-setting Dijkstra over the dense costs cost[u, v] >= 0 of the
     hops u -> v (inf where there is none).
 
-    dist holds the start labels and is lowered in place to the distances;
-    nodes marked final are settled at their start labels and never relaxed
-    from. Each step settles the smallest open label, and the loop ends once
-    that label is inf.
+    dist holds the start labels and is lowered in place to the distances.
+    Each step settles the smallest open label, and the loop ends once that
+    label is inf.
     """
     cost = np.ascontiguousarray(cost)  # contiguous rows relax faster at large n
-    closed = np.where(final, np.inf, 0.0)
+    closed = np.zeros_like(dist)
     pending = np.empty_like(dist)
     for _ in range(len(dist)):
         u = np.add(dist, closed, out=pending).argmin()
@@ -128,7 +133,7 @@ def effective_distance_from(graph: DistanceGraph, source: int) -> np.ndarray:
         raise ValidationError(f"source {source} out of range for n={graph.n}")
     dist = np.full(graph.n, np.inf)
     dist[source] = 0.0
-    return _shortest_paths(graph.d.T, dist, np.zeros(graph.n, dtype=bool))
+    return _shortest_paths(graph.d.T, dist)
 
 
 def group_effective_distance(network: FlowNetwork, infected: InfectedSet) -> np.ndarray:
@@ -138,24 +143,39 @@ def group_effective_distance(network: FlowNetwork, infected: InfectedSet) -> np.
     w~_i = sum_{j in group} N_j w_ij / sum_{j in group} N_j; hops landing in
     the group are free; hops between outside nodes keep their -log w cost.
     Group members report distance 0.
+
+    A hop into the group cannot lower a label, so the search runs on the m
+    outside nodes alone, O(m^2), starting from the labels -log w~_i.
     """
     if not infected.members:
         raise EmptyInfectedSet("infected set has no members")
     n = network.n
+    for m in infected.members:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValidationError(f"infected set member {m!r} is not a node index")
     members = sorted(infected.members)
     if members[0] < 0 or members[-1] >= n:
         raise ValidationError("infected set contains out-of-range nodes")
     mask = np.zeros(n, dtype=bool)
     mask[members] = True
+    out = np.flatnonzero(~mask)
 
-    pops = network.populations
-    w_group = (network.routing[:, mask] * pops[mask]).sum(axis=1) / pops[mask].sum()
-    # the group's one hop out starts each outside label; the members are final.
-    # A settled label plus the free self-hop is itself, so that hop changes nothing
+    rows = network.routing[out]  # a row per outside node, C-contiguous
+    pops = network.populations[mask]
+    # numpy sums each row of this Fortran-ordered block member after member,
+    # in index order, whatever m is; a lone row is contiguous, which numpy
+    # would sum pairwise, so it is accumulated in that order instead
+    exits = rows[:, mask] * pops
+    if len(out) == 1:
+        exits = np.add.accumulate(exits, axis=1)[:, -1:]
+    w_group = exits.sum(axis=1) / pops.sum()
+    cost = _hop_costs(rows.T[out])  # a row per outside hop origin
+    del rows, exits  # the search needs only the m x m block
     with np.errstate(divide="ignore"):
-        dist = 0.0 - np.log(w_group)  # 0.0 - keeps -log 1 at +0.0
-    dist[mask] = 0.0
-    return _shortest_paths(log_distance_graph(network).d.T, dist, mask)
+        start = 0.0 - np.log(w_group)  # 0.0 - keeps -log 1 at +0.0
+    dist = np.zeros(n)
+    dist[out] = _shortest_paths(cost, start)
+    return dist
 
 
 def arrival_times(times, signal, threshold: float) -> list[ArrivalRecord]:
@@ -199,53 +219,69 @@ def sliding_window_predict(
     the infected group as it stood at T_{k-tau}; predictions use distances
     to the group at T_k plus a shift keeping every prediction past T_k.
     """
+    return next(_forecast_sweep(arrivals, schedule, tau, [at_arrival_index]))
+
+
+def _forecast_sweep(
+    arrivals: list[ArrivalRecord], schedule: NetworkSchedule, tau: int, indices
+):
+    """Yield sliding_window_predict's forecast at each arrival index k in
+    indices.
+
+    The group at T_j is the arrival prefix arrivals[: j + 1], on the network
+    in force at T_j, so the distances k trains on are those k - tau predicted
+    from. Each prefix's distances are kept while a larger index can use
+    them, at most tau + 1 vectors, so ascending indices compute each prefix
+    once.
+    """
     if tau < 2:
         raise ValidationError("tau must be at least 2 to fit a line")
-    k = at_arrival_index
-    if k >= len(arrivals):
-        raise InsufficientArrivals(
-            f"arrival index {k} out of range for {len(arrivals)} arrivals"
+    kept: dict[int, np.ndarray] = {}
+    for k in indices:
+        if k >= len(arrivals):
+            raise InsufficientArrivals(
+                f"arrival index {k} out of range for {len(arrivals)} arrivals"
+            )
+        if k < tau:
+            raise InsufficientArrivals(
+                f"need more than tau={tau} arrivals before predicting (index {k})"
+            )
+        for j in (k - tau, k):
+            if j not in kept:
+                group = InfectedSet(members=frozenset(a.node for a in arrivals[: j + 1]))
+                net = schedule.network_at(arrivals[j].arrival_time, clamp=True)
+                kept[j] = group_effective_distance(net, group)
+        dist_then, dist_now = kept[k - tau], kept[k]
+        t_base = arrivals[k - tau].arrival_time
+        t_now = arrivals[k].arrival_time
+
+        train = arrivals[k - tau + 1 : k + 1]
+        xs = np.array([dist_then[a.node] for a in train])
+        ys = np.array([a.arrival_time for a in train])
+        usable = np.isfinite(xs)
+
+        degenerate = bool(usable.sum() < 2 or xs[usable].std() < 1e-12)
+        if degenerate:
+            # flat fallback: every remaining node is due one mean arrival gap out
+            mean_gap = float(np.mean(np.diff(ys)))
+            slope, intercept = 0.0, t_now + mean_gap
+        else:
+            slope, intercept = _ols_line(xs[usable], ys[usable])
+
+        reachable = np.isfinite(dist_now)
+        reachable[[a.node for a in arrivals[: k + 1]]] = False
+        nodes = np.flatnonzero(reachable)
+        raw = slope * dist_now[nodes] + intercept
+        shift = max(0.0, t_now + EPS_SHIFT - float(raw.min())) if len(nodes) else 0.0
+        predictions = tuple(zip(nodes.tolist(), (raw + shift).tolist(), dist_now[nodes].tolist()))
+        yield ArrivalForecast(
+            predictions=predictions,
+            fit=(slope, intercept, shift),
+            window=(tau, t_base, t_now),
+            degenerate=degenerate,
         )
-    if k < tau:
-        raise InsufficientArrivals(
-            f"need more than tau={tau} arrivals before predicting (index {k})"
-        )
-    t_base = arrivals[k - tau].arrival_time
-    t_now = arrivals[k].arrival_time
-
-    group_then = InfectedSet(members=frozenset(a.node for a in arrivals[: k - tau + 1]))
-    net_then = schedule.network_at(t_base, clamp=True)
-    dist_then = group_effective_distance(net_then, group_then)
-
-    train = arrivals[k - tau + 1 : k + 1]
-    xs = np.array([dist_then[a.node] for a in train])
-    ys = np.array([a.arrival_time for a in train])
-    usable = np.isfinite(xs)
-
-    degenerate = bool(usable.sum() < 2 or xs[usable].std() < 1e-12)
-    if degenerate:
-        # flat fallback: every remaining node is due one mean arrival gap out
-        mean_gap = float(np.mean(np.diff(ys)))
-        slope, intercept = 0.0, t_now + mean_gap
-    else:
-        slope, intercept = _ols_line(xs[usable], ys[usable])
-
-    group_now = InfectedSet(members=frozenset(a.node for a in arrivals[: k + 1]))
-    net_now = schedule.network_at(t_now, clamp=True)
-    dist_now = group_effective_distance(net_now, group_now)
-
-    reachable = np.isfinite(dist_now)
-    reachable[list(group_now.members)] = False
-    nodes = np.flatnonzero(reachable)
-    raw = slope * dist_now[nodes] + intercept
-    shift = max(0.0, t_now + EPS_SHIFT - float(raw.min())) if len(nodes) else 0.0
-    predictions = tuple(zip(nodes.tolist(), (raw + shift).tolist(), dist_now[nodes].tolist()))
-    return ArrivalForecast(
-        predictions=predictions,
-        fit=(slope, intercept, shift),
-        window=(tau, t_base, t_now),
-        degenerate=degenerate,
-    )
+        for j in [j for j in kept if j <= k - tau]:
+            del kept[j]  # the next index trains on prefixes past k - tau
 
 
 def prediction_rms(predicted, actual) -> float:

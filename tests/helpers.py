@@ -13,7 +13,13 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from epiflows import EpidemicParams, SystemState, balance_flows, build_network
+from epiflows import (
+    EpidemicParams,
+    SystemState,
+    balance_flows,
+    build_network,
+    sliding_window_predict,
+)
 from epiflows.dynamics import _check_simplex, _Kernel, _settle_onto_simplex
 from epiflows.errors import (
     DimensionMismatch,
@@ -167,6 +173,37 @@ def group_distance_by_csgraph(network, members):
     dist = shortest_paths_by_csgraph(hops, -np.log(weights), n)[:n]
     dist[mask] = 0.0
     return dist
+
+
+def group_distance_by_full_matrix(network, members):
+    """The group distance the library computed before its search ran on the
+    outside nodes alone: -log of the whole routing, and a Dijkstra over all
+    n nodes with the members settled at 0 and never relaxed from."""
+    n = network.n
+    mask = np.zeros(n, dtype=bool)
+    mask[sorted(members)] = True
+    pops = network.populations
+    w_group = (network.routing[:, mask] * pops[mask]).sum(axis=1) / pops[mask].sum()
+    with np.errstate(divide="ignore"):
+        dist = 0.0 - np.log(w_group)
+        cost = 0.0 - np.log(network.routing.T, order="C")  # a row per hop origin
+    np.fill_diagonal(cost, 0.0)
+    dist[mask] = 0.0
+    closed = np.where(mask, np.inf, 0.0)
+    pending = np.empty_like(dist)
+    for _ in range(n):
+        u = np.add(dist, closed, out=pending).argmin()
+        if pending[u] == np.inf:
+            break
+        closed[u] = np.inf
+        np.minimum(dist, dist[u] + cost[u], out=dist)
+    return dist
+
+
+def forecasts_by_index(arrivals, schedule, tau, indices):
+    """The forecasts cmd_predict made before the sweep: one
+    sliding_window_predict call, with both of its group distances, per index."""
+    return (sliding_window_predict(arrivals, schedule, tau, k) for k in indices)
 
 
 def routing_by_masked_divide(flows):

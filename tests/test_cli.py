@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import epiflows
-from epiflows import cli, read_trajectory_csv, simulate_discrete, write_trajectory_csv
+from epiflows import cli, effdist, read_trajectory_csv, simulate_discrete, write_trajectory_csv
 from epiflows.cli import main
 from epiflows.demo import (
     five_node_initial_state,
@@ -20,6 +20,7 @@ from epiflows.demo import (
     seeded_initial_state,
     synthetic_county_system,
 )
+from helpers import forecasts_by_index, write_gravity_trips
 
 
 def run(*argv):
@@ -280,6 +281,12 @@ class TestDistance:
         assert payload["kind"] == "from_group"
         assert payload["distances"]["n1"] == 0.0
 
+    def test_group_members_are_the_distinct_ids_used(self, tmp_path):
+        code = run("distance", "--demo", "five-node", "--infected", "n3,n1,n1,n3",
+                   "--out-dir", str(tmp_path))
+        assert code == 0
+        assert read_json(tmp_path / "distances.json")["members"] == ["n1", "n3"]
+
 
 @pytest.fixture(scope="module")
 def county_run(tmp_path_factory):
@@ -376,6 +383,54 @@ class TestPredict:
         captured = capsys.readouterr()
         assert json.loads(captured.err)["error"]["type"] == "UnknownNode"
         assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.fixture(scope="module", params=["readme_demo", "county87"])
+def predict_argv(request, tmp_path_factory):
+    """predict's inputs: the README's five-node demo, or an 87-node county
+    whose trips file holds eight weekly windows."""
+    tmp_path = tmp_path_factory.mktemp(request.param)
+    if request.param == "readme_demo":
+        assert run("simulate", "--demo", "five-node", "--steps", "400",
+                   "--out-dir", str(tmp_path)) == 0
+        return ["--observations", str(tmp_path / "trajectory.csv"), "--demo", "five-node",
+                "--threshold", "1e-3", "--tau", "2", "--ahead", "1"]
+    net, params, origin = synthetic_county_system(n=87, seed=4)
+    paths = dump_system_csvs(tmp_path, net)
+    write_gravity_trips(paths["flows"], net, seed=4, days=56)
+    obs = tmp_path / "obs.csv"
+    write_trajectory_csv(obs, simulate_discrete(seeded_initial_state(net.n, origin), params,
+                                                net, steps=56, h=1.0))
+    return ["--observations", str(obs), "--populations", str(paths["populations"]),
+            "--flows", str(paths["flows"]), "--threshold", "1e-5", "--tau", "8", "--ahead", "3"]
+
+
+class TestPredictSweep:
+    """cmd_predict's one pass over the forecast indices."""
+
+    def test_outputs_match_the_per_index_loop(self, predict_argv, tmp_path, monkeypatch):
+        assert run("predict", *predict_argv, "--out-dir", str(tmp_path / "sweep")) == 0
+        monkeypatch.setattr(cli, "_forecast_sweep", forecasts_by_index)
+        assert run("predict", *predict_argv, "--out-dir", str(tmp_path / "by_index")) == 0
+        for name in ("forecast.json", "scatter.csv"):
+            assert (tmp_path / "sweep" / name).read_bytes() == \
+                (tmp_path / "by_index" / name).read_bytes()
+
+    def test_one_group_distance_per_prefix(self, predict_argv, tmp_path, monkeypatch):
+        sizes, real = [], effdist.group_effective_distance
+
+        def counted(network, group):
+            sizes.append(len(group.members))
+            return real(network, group)
+
+        monkeypatch.setattr(effdist, "group_effective_distance", counted)
+        assert run("predict", *predict_argv, "--out-dir", str(tmp_path)) == 0
+        forecast = read_json(tmp_path / "forecast.json")
+        tau = forecast["tau"]
+        indices = range(tau, len(forecast["arrivals"]) - forecast["ahead"])
+        # the group at index j is the first j + 1 arrivals
+        prefixes = set(indices) | {k - tau for k in indices}
+        assert sorted(sizes) == sorted(j + 1 for j in prefixes)
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,6 +19,7 @@ from epiflows import (
     simulate_discrete,
     sliding_window_predict,
 )
+from epiflows import effdist
 from epiflows.errors import (
     DegenerateFit,
     EmptyInfectedSet,
@@ -26,12 +27,14 @@ from epiflows.errors import (
     NoOverlap,
     ValidationError,
 )
-from epiflows.demo import synthetic_county_system
+from epiflows.demo import seeded_initial_state, synthetic_county_system
 from epiflows.network import NetworkSchedule
 from helpers import (
     PROPERTY_SETTINGS,
     distance_from_by_csgraph,
+    forecasts_by_index,
     group_distance_by_csgraph,
+    group_distance_by_full_matrix,
     random_balanced_network,
     shortest_paths_by_enumeration,
     shortest_paths_by_heap,
@@ -244,6 +247,17 @@ class TestGroupDistance:
         with pytest.raises(EmptyInfectedSet):
             group_effective_distance(net, InfectedSet(members=frozenset()))
 
+    @pytest.mark.parametrize("member", [1.5, True, "2"])
+    def test_non_index_member_rejected(self, five_node, member):
+        net, _ = five_node
+        with pytest.raises(ValidationError, match="not a node index"):
+            group_effective_distance(net, InfectedSet(members=frozenset({member})))
+
+    def test_numpy_integer_members_accepted(self, five_node):
+        net, _ = five_node
+        got = group_effective_distance(net, InfectedSet(members=frozenset({np.int64(1)})))
+        assert_same_bits(got, group_distance_by_full_matrix(net, [1]))
+
     def test_singleton_reduces_to_single_source(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
@@ -330,8 +344,15 @@ def assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def assert_group_oracles(net, members):
+    got = group_effective_distance(net, InfectedSet(members=frozenset(members)))
+    assert_same_bits(got, group_distance_by_csgraph(net, members))
+    assert_same_bits(got, group_distance_by_full_matrix(net, members))
+
+
 class TestCsgraphOracle:
-    """The dense Dijkstra against scipy's csgraph, bit for bit and sign for sign."""
+    """The dense Dijkstra against scipy's csgraph, bit for bit and sign for
+    sign, and the group distance against its full-matrix form as well."""
 
     @pytest.mark.parametrize("n", [87, 1000])
     def test_gravity_counties(self, n):
@@ -339,13 +360,27 @@ class TestCsgraphOracle:
         for seed in (1, 2):
             net = synthetic_county_system(n=n, seed=seed)[0]
             g = log_distance_graph(net)
+            with np.errstate(divide="ignore"):
+                costs = 0.0 - np.log(net.routing)
+            np.fill_diagonal(costs, 0.0)
+            assert_same_bits(g.d, costs)
             for source in rng.choice(n, 3, replace=False).tolist():
                 assert_same_bits(effective_distance_from(g, source),
                                  distance_from_by_csgraph(g.d, source))
-            for k in (1, 5, 20):
-                members = frozenset(rng.choice(n, k, replace=False).tolist())
-                assert_same_bits(group_effective_distance(net, InfectedSet(members=members)),
-                                 group_distance_by_csgraph(net, members))
+            # n - 1 members leave one outside node, whose exit weight numpy
+            # would sum pairwise were it a lone contiguous row
+            for k in (1, 5, 20, n // 2, n - 1, n):
+                assert_group_oracles(net, rng.choice(n, k, replace=False).tolist())
+
+    @pytest.mark.parametrize("n", [87, 1000])
+    def test_arrival_prefixes_of_a_simulated_county(self, n):
+        net, params, origin = synthetic_county_system(n=n, seed=3)
+        traj = simulate_discrete(seeded_initial_state(n, origin), params, net, steps=320)
+        arrivals = arrival_times(traj.times, traj.x, 1e-3)
+        assert len(arrivals) > n // 2
+        nodes = [a.node for a in arrivals]
+        for size in sorted({1, 2, 8, 21, len(nodes) // 2, len(nodes) - 1, len(nodes)}):
+            assert_group_oracles(net, nodes[:size])
 
     @PROPERTY_SETTINGS
     @given(st.integers(2, 24), st.integers(0, 2**32 - 1), st.data())
@@ -357,6 +392,33 @@ class TestCsgraphOracle:
         source = min(members)
         assert_same_bits(effective_distance_from(log_distance_graph(net), source),
                          distance_from_by_csgraph(log_distance_graph(net).d, source))
+
+
+class TestDistanceCost:
+    """The size of the cost block each search relaxes."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        shapes, real = [], effdist._shortest_paths
+
+        def search(cost, dist):
+            shapes.append(cost.shape)
+            return real(cost, dist)
+
+        monkeypatch.setattr(effdist, "_shortest_paths", search)
+        return shapes
+
+    @pytest.mark.parametrize("k", [1, 20, 43, 86, 87])
+    def test_group_search_runs_on_the_outside_nodes(self, searched, k):
+        net = synthetic_county_system(n=87, seed=1)[0]
+        members = frozenset(np.random.default_rng(k).choice(87, k, replace=False).tolist())
+        group_effective_distance(net, InfectedSet(members=members))
+        assert searched == [(87 - k, 87 - k)]
+
+    def test_source_search_runs_on_every_node(self, searched):
+        net = synthetic_county_system(n=87, seed=1)[0]
+        effective_distance_from(log_distance_graph(net), 5)
+        assert searched == [(87, 87)]
 
 
 class TestArrivalTimes:
@@ -479,6 +541,20 @@ class TestSlidingWindow:
         assert forecast.fit[2] >= 0.0
         for _, t, _ in forecast.predictions:
             assert t > t_now
+
+    def test_sweep_equals_the_per_index_forecasts(self):
+        # four periods, so the two distances of an update come from
+        # different networks
+        net, params, origin = synthetic_county_system(n=40, seed=6)
+        periods = tuple((30.0, build_network(net.node_ids, net.populations, net.flows * s))
+                        for s in (1.0, 0.5, 2.0, 1.3))
+        schedule = NetworkSchedule(periods=periods)
+        traj = simulate_discrete(seeded_initial_state(40, origin), params, schedule, steps=119)
+        arrivals = arrival_times(traj.times, traj.x, 1e-3)
+        indices = range(5, len(arrivals))
+        assert len(indices) > 20
+        got = list(effdist._forecast_sweep(arrivals, schedule, 5, indices))
+        assert got == list(forecasts_by_index(arrivals, schedule, 5, indices))
 
     def test_forecast_serialization(self):
         net, arrivals, _ = star_system([0.4, 0.3, 0.2, 0.06, 0.04])
