@@ -26,7 +26,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .network import FlowNetwork, NetworkSchedule, as_schedule
+from .network import FlowNetwork, NetworkSchedule, _transport, as_schedule
 
 SIMPLEX_SUM_TOL = 1e-9
 CLAMP_EPS = 1e-12
@@ -182,7 +182,7 @@ class _Kernel:
     """
 
     def __init__(self, params: EpidemicParams, network: FlowNetwork):
-        self.a_t = np.ascontiguousarray((network.coupling - np.diag(network.gamma)).T)
+        self.a_t = np.ascontiguousarray(_transport(network).T)
         self.beta = params.beta
         self.rates = np.stack([params.beta, params.sigma, params.delta, params.alpha])
         self.infection, self.flux, self.cycled = self.rates[0], *np.empty((2, *self.rates.shape))

@@ -17,7 +17,7 @@ import numpy as np
 from ._csvio import cell, numbers, raise_first, read_columns, repeated, reprs, text, write_columns
 from .dynamics import _CYCLE, EpidemicParams, SystemState, Trajectory
 from .errors import DimensionMismatch, ParseError, ScheduleMismatch, ValidationError
-from .network import FlowNetwork, NetworkSchedule
+from .network import FlowNetwork, NetworkSchedule, _coupling_rows
 
 RANK_RATIO_TOL = 1e-10
 
@@ -143,7 +143,7 @@ def _increments(series: ObservationSeries, nodes: slice, groups) -> np.ndarray:
         if net.n != series.n:
             raise ScheduleMismatch("schedule node count does not match observations")
         own = q[start:stop, :, nodes]
-        moved = q[start:stop].reshape(-1, series.n) @ net.coupling[nodes].T
+        moved = q[start:stop].reshape(-1, series.n) @ _coupling_rows(net, nodes).T
         increments[start:stop] += series.h * (net.gamma[nodes] * own - moved.reshape(own.shape))
     return increments
 

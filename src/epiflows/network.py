@@ -1,11 +1,12 @@
 """Travel-flow graphs: construction, balance enforcement, connectivity checks.
 
 Conventions: ``flows[i, j]`` is the number of individuals moving from node j
-to node i per unit time. Derived quantities are the outflow fractions
-``gamma[j] = sum_i flows[i, j] / populations[j]``, the column-stochastic
-routing matrix ``routing[i, j] = flows[i, j] / sum_l flows[l, j]``, and the
-coupling matrix ``coupling[i, j] = (N_j / N_i) * routing[i, j] * gamma[j]``
-that appears in every compartment's dynamics.
+to node i per unit time. A network stores them with the outflow fractions
+``gamma[j] = sum_i flows[i, j] / populations[j]`` and the column-stochastic
+routing ``routing[i, j] = flows[i, j] / sum_l flows[l, j]``, and derives the
+coupling ``coupling[i, j] = (N_j / N_i) * routing[i, j] * gamma[j]`` of every
+compartment's dynamics when it is read: it conserves population by
+construction wherever a routing column sums to 1.
 """
 from __future__ import annotations
 
@@ -38,18 +39,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Immutable travel-flow graph with derived routing and coupling matrices."""
+    """Immutable travel-flow graph; the coupling is derived when it is read."""
 
     node_ids: tuple[str, ...]
     populations: np.ndarray
     flows: np.ndarray
     gamma: np.ndarray
     routing: np.ndarray
-    coupling: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.node_ids)
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """Phi = diag(1/N) routing diag(gamma N), a new frozen array per read."""
+        return _freeze(_coupling_rows(self, slice(None)))
 
     def node_index(self, node_id: str) -> int:
         try:
@@ -125,13 +130,8 @@ def as_schedule(net_or_schedule) -> NetworkSchedule:
     return NetworkSchedule.static(net_or_schedule)
 
 
-def build_network(
-    node_ids,
-    populations,
-    flows,
-    balance_tolerance: float = 1e-6,
-) -> FlowNetwork:
-    """Validate raw flows and derive gamma, routing, and coupling.
+def build_network(node_ids, populations, flows, balance_tolerance: float = 1e-6) -> FlowNetwork:
+    """Validate raw flows and derive gamma and routing.
 
     Per-node balance is enforced relative to outflow:
     ``|outflow_j - inflow_j| <= balance_tolerance * outflow_j``.
@@ -189,9 +189,21 @@ def _imbalance(flows: np.ndarray) -> np.ndarray:
 
 
 def _network(node_ids, populations, flows, gamma, routing) -> FlowNetwork:
-    """The network with coupling diag(1/N) routing diag(gamma N), every array frozen."""
-    coupling = (1.0 / populations)[:, None] * routing * (gamma * populations)[None, :]
-    return FlowNetwork(node_ids, *map(_freeze, (populations, flows, gamma, routing, coupling)))
+    """The network with every array frozen."""
+    return FlowNetwork(node_ids, *map(_freeze, (populations, flows, gamma, routing)))
+
+
+def _coupling_rows(network: FlowNetwork, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of Phi = diag(1/N) routing diag(gamma N), as a new array."""
+    pops = network.populations
+    return (1.0 / pops[rows])[:, None] * network.routing[rows] * (network.gamma * pops)[None, :]
+
+
+def _transport(network: FlowNetwork) -> np.ndarray:
+    """A = Phi - diag(gamma), gamma taken in place off Phi's zero diagonal."""
+    a = _coupling_rows(network, slice(None))
+    a[np.diag_indices(network.n)] -= network.gamma
+    return a
 
 
 def balance_flows(flows, method: str = "scale") -> np.ndarray:
@@ -312,31 +324,21 @@ def check_k_strong(schedule: NetworkSchedule) -> bool:
         raise ValidationError("schedule.window_bound must be a positive integer")
     m = len(schedule.periods)
     if k > m:
-        raise WindowLargerThanSchedule(
-            f"window K={k} exceeds the {m}-period schedule"
-        )
-    for start in range(m - k + 1):
-        union = np.zeros_like(schedule.periods[0][1].routing, dtype=bool)
-        for _, net in schedule.periods[start : start + k]:
-            union |= net.routing > 0
-        if not _digraph_strongly_connected(union):
-            return False
-    return True
+        raise WindowLargerThanSchedule(f"window K={k} exceeds the {m}-period schedule")
+    edges = [net.routing > 0 for _, net in schedule.periods]
+    return all(_digraph_strongly_connected(np.logical_or.reduce(edges[start : start + k]))
+               for start in range(m - k + 1))
 
 
-def perturb_flows_balanced(
-    network: FlowNetwork,
-    theta,
-    tol: float = 1e-10,
-) -> FlowNetwork:
+def perturb_flows_balanced(network: FlowNetwork, theta, tol: float = 1e-10) -> FlowNetwork:
     """Shift outflow fractions by theta while keeping flows balanced.
 
     theta must keep gamma nonnegative, be 0 at every node whose routing
     column is all zero, and satisfy the balance identity
     ``theta_i = sum_j (N_j/N_i) routing[i, j] theta_j`` within tol; routing
-    is kept as-is and flows and coupling are recomputed from gamma + theta.
-    So the coupling carries exactly gamma_j N_j out of each node, and total
-    population is conserved, as for every network from build_network.
+    is kept as-is and flows are recomputed from gamma + theta. The coupling
+    is derived from the routing when it is read, so total population is
+    conserved, as for every network from build_network.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != network.gamma.shape:

@@ -28,12 +28,8 @@ from .errors import (
     NotIrreducible,
     ValidationError,
 )
-from .network import (
-    FlowNetwork,
-    _digraph_strongly_connected,
-    is_strongly_connected,
-    perturb_flows_balanced,
-)
+from .network import (FlowNetwork, _digraph_strongly_connected, _transport, is_strongly_connected,
+                      perturb_flows_balanced)
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -110,7 +106,7 @@ def _healthy_part(params: EpidemicParams, network: FlowNetwork, part: slice) -> 
     a, b, s, d = params.alpha, params.beta, params.sigma, params.delta
     o = np.zeros_like(a)
     blocks = np.array([[-s, b, o], [s, -d, o], [o, d, -a]])
-    return _assemble(network.coupling - np.diag(network.gamma), blocks[part, part])
+    return _assemble(_transport(network), blocks[part, part])
 
 
 def u_matrix(params: EpidemicParams, network: FlowNetwork) -> np.ndarray:
@@ -189,14 +185,12 @@ def _existence_indicator(params: EpidemicParams, network: FlowNetwork) -> float:
     """s(-Q + M) at every state, by Collatz-Wielandt enclosures: s(B) lies in
     [min r, max r], r = (v^T B) / v, for Metzler B and v > 0. The cycle
     matrix's columns sum to 0, so for the stacked populations v the rates
-    drop out and r_j = (N^T A)_j / N_j, A = Phi - diag(gamma): the gap between
-    what the coupling carries out of node j and gamma_j N_j, one enclosure for
-    all states and rates. It closes up to rounding for every network from
-    build_network or perturb_flows_balanced, and its midpoint is taken; one
-    wider than 1e-12 of the largest rate means gamma disagrees with the flows
-    and population leaks, which raises BalanceViolation."""
+    drop out and r_j = (N^T A)_j / N_j, A = Phi - diag(gamma): one enclosure
+    for all states and rates, which closes up to rounding, and its midpoint
+    is taken. One wider than 1e-12 of the largest rate means a routing column
+    does not sum to 1 and population leaks, which raises BalanceViolation."""
     v = np.broadcast_to(network.populations, (4, network.n))
-    ratios = v @ (network.coupling - np.diag(network.gamma)) / v
+    ratios = v @ _transport(network) / v
     low, high = ratios.min(), ratios.max()
     scale = np.max([params.alpha, params.beta, params.sigma, params.delta, network.gamma])
     if high - low > 1e-12 * scale:
@@ -215,8 +209,8 @@ def endemic_existence_indicator(
     Total population is conserved, so the stacked populations are a positive
     left null vector of -Q + M at every state and the value is 0 up to
     rounding (Perron-Frobenius): it cannot certify endemic existence. A
-    network whose gamma disagrees with its flows, which only a hand-built one
-    can, raises BalanceViolation.
+    network in which a routing column does not sum to 1, which only a
+    hand-built one can have, raises BalanceViolation.
     """
     if len(trajectory) == 0:
         raise ValidationError("trajectory is empty")

@@ -428,12 +428,15 @@ def loosely_balanced(network, rng, rel=1e-7):
     return build_network(network.node_ids, network.populations, flows)
 
 
-def leaky_outflows(network, rng, rel=1e-7):
-    """The network with each gamma_j scaled within 1 +- rel, so the coupling
-    no longer carries exactly gamma_j N_j out of node j: total population is
-    not conserved, and s(M - Q) moves off 0 by about rel * gamma."""
-    gamma = network.gamma * (1.0 + rel * rng.uniform(-1.0, 1.0, network.n))
-    return dataclasses.replace(network, gamma=gamma)
+def leaky_outflows(network, column=0, rel=1e-7):
+    """The network with one routing column scaled by 1 + rel, so the coupling
+    derived from it carries (1 + rel) gamma_j N_j out of that node: total
+    population is not conserved, and s(M - Q) moves off 0 by about
+    rel * gamma_j. A network derives its coupling from routing and gamma,
+    so a routing column off 1 is the only way it can leak."""
+    routing = network.routing.copy()
+    routing[:, column] *= 1.0 + rel
+    return dataclasses.replace(network, routing=routing)
 
 
 def matched_distance(a, b):

@@ -27,6 +27,7 @@ from epiflows.network import NetworkSchedule
 from helpers import (
     PROPERTY_SETTINGS,
     balanced_systems,
+    coupling_by_formula,
     fit_by_node,
     random_balanced_network,
     random_params,
@@ -353,6 +354,33 @@ class TestStackedFit:
         for got, want in zip(results(chunked), results(whole)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
         assert np.array_equal(chunked.identifiable, whole.identifiable)
+
+    @pytest.mark.parametrize("solver", estimation.SOLVERS)
+    def test_chunk_rows_match_the_whole_coupling(self, monkeypatch, solver):
+        # each chunk derives only its own rows of Phi; they are the rows of
+        # the whole matrix to the bit, so the fit is too
+        n, rng = estimation._CHUNK + 22, np.random.default_rng(9)
+        pops = rng.uniform(1e3, 1e5, n)
+        nets = []
+        for _ in range(3):
+            flows = rng.uniform(0.1, 1.0, (n, n))
+            flows += flows.T
+            np.fill_diagonal(flows, 0.0)
+            nets.append(build_network([f"n{i}" for i in range(n)], pops, flows))
+        schedule = NetworkSchedule(periods=tuple((2.0, net) for net in nets))
+        traj = simulate_discrete(random_state(rng, n), random_params(rng, n), schedule,
+                                 steps=12, h=0.5, noise_std=0.01, rng=0)
+        series = ObservationSeries.from_trajectory(traj)
+        derived = estimate_all(series, solver)
+        monkeypatch.setattr(estimation, "_coupling_rows", lambda net, rows: coupling_by_formula(
+            net.populations, net.routing, net.gamma)[rows])
+        whole = estimate_all(series, solver)
+        for name in ("beta", "sigma", "delta", "alpha"):
+            assert np.array_equal(getattr(derived.params, name), getattr(whole.params, name))
+        for got, want in [(derived.residual_norm, whole.residual_norm),
+                          (derived.identifiable, whole.identifiable),
+                          (derived.condition_number, whole.condition_number)]:
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestParameterRmse:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 from itertools import accumulate
 
@@ -17,6 +19,7 @@ from epiflows import (
     perturb_flows_balanced,
 )
 from epiflows import network
+from epiflows.network import FlowNetwork, _transport
 from epiflows.errors import (
     BalanceViolation,
     DimensionMismatch,
@@ -147,9 +150,10 @@ class TestBuildNetwork:
 
 def assert_matches_formulas(net, c):
     """The network's derived arrays, and those of its perturbation by
-    theta = c * gamma, equal the formulas written out, to the bit, and the
-    perturbed coupling carries gamma_j N_j out of each node, so population
-    is conserved."""
+    theta = c * gamma, equal the formulas written out, to the bit, as does
+    the transport operator Phi - diag(gamma) of each; the derived arrays are
+    frozen, and the perturbed coupling carries gamma_j N_j out of each node,
+    so population is conserved."""
     assert np.array_equal(net.routing, routing_by_masked_divide(net.flows))
     assert np.array_equal(net.gamma, net.flows.sum(axis=0) / net.populations)
     assert np.array_equal(net.coupling,
@@ -158,6 +162,8 @@ def assert_matches_formulas(net, c):
     want = perturbed_by_formula(net, c * net.gamma)
     for got, expected in zip((out.flows, out.gamma, out.coupling), want):
         assert np.array_equal(got, expected)
+    for a in (net, out):
+        assert np.array_equal(_transport(a), a.coupling - np.diag(a.gamma))
     gap = net.populations @ (out.coupling - np.diag(out.gamma))
     assert np.abs(gap).max() <= 1e-12 * max(1.0, (out.gamma * net.populations).max())
     assert out.routing is net.routing and out.populations is net.populations
@@ -167,6 +173,26 @@ def assert_matches_formulas(net, c):
 
 
 class TestConstructorOracle:
+    def test_coupling_is_derived_not_stored(self):
+        assert "coupling" not in {f.name for f in dataclasses.fields(FlowNetwork)}
+
+    def test_network_retains_two_square_arrays(self):
+        # flows and routing; the coupling is not kept beside them
+        n = 400
+        rng = np.random.default_rng(8)
+        flows = rng.uniform(0.1, 1.0, (n, n))
+        flows += flows.T
+        np.fill_diagonal(flows, 0.0)
+        pops = rng.uniform(1e3, 1e5, n)
+        tracemalloc.start()
+        try:
+            net = build_network([str(i) for i in range(n)], pops, flows)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert net.n == n
+        assert retained < 2.5 * n * n * 8
+
     @PROPERTY_SETTINGS
     @given(balanced_systems(), st.floats(-0.9, 1.0))
     def test_networks_with_silent_nodes(self, system, c):

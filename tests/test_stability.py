@@ -186,9 +186,9 @@ class TestExistenceIndicator:
             assert np.abs(v @ (M - Q)).max() < 1e-9 * v.max()
 
     def test_leaking_network_raises(self, five_node, five_node_start):
-        # gamma off the flows by 1e-7: only a hand-built network gets here
+        # a routing column off 1 by 1e-7: only a hand-built network gets here
         net, params = five_node
-        leaky = leaky_outflows(net, np.random.default_rng(6))
+        leaky = leaky_outflows(net)
         traj = two_state_trajectory(five_node_start, leaky)
         with mock.patch.object(stability, "_eigvals", wraps=stability._eigvals) as eig:
             with pytest.raises(BalanceViolation, match="does not conserve population"):
@@ -338,6 +338,51 @@ class TestEigenvalueDrift:
             after = classify_healthy(params, perturb_flows_balanced(net, theta))
             if before != "Marginal" and after.classification != "Marginal":
                 assert after.classification == before
+
+
+class TestTravelScaling:
+    """On a strongly connected network the balance identity allows only
+    theta = c * gamma, which scales all travel by 1 + c."""
+
+    def test_equal_rates_keep_s_of_u(self):
+        # with the same rates at every node U = I_2 (x) (Phi - Gamma) + R (x) I,
+        # and Phi - Gamma has abscissa 0 with left vector N, so s(U) = s(R)
+        # for the 2 x 2 rate block R whatever c is; the same networks with
+        # rates drawn per node do move it
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            net = random_balanced_network(rng, 6)
+            a, b, s, d = rng.uniform(0.05, 1.0, 4)
+            equal = EpidemicParams(alpha=np.full(6, a), beta=np.full(6, b),
+                                   sigma=np.full(6, s), delta=np.full(6, d))
+            unequal = random_params(rng, 6)
+            block = stability.spectral_abscissa(np.array([[-s, b], [s, -d]]))
+            for c in (-0.9, 0.5, 5.0):
+                scaled = perturb_flows_balanced(net, c * net.gamma)
+
+                def move(params):
+                    return abs(classify_healthy(params, scaled).s_of_U
+                               - classify_healthy(params, net).s_of_U)
+
+                assert abs(classify_healthy(equal, scaled).s_of_U - block) <= 1e-12
+                assert move(equal) <= 1e-12
+                assert move(unequal) > 1e-6
+
+    @pytest.mark.parametrize("flow, c, before, after", [
+        (0.0398, 0.5, (0.010136, "Unstable"), (-0.003755, "Stable")),
+        (0.1, -0.5, (-0.025951, "Stable"), (0.002745, "Unstable")),
+    ])
+    def test_unequal_rates_can_flip_the_classification(self, flow, c, before, after):
+        # more travel roughly averages the two nodes' growth rates, so
+        # scaling it can move s(U) across zero
+        net = build_network(["a", "b"], [1.0, 1.0], [[0.0, flow], [flow, 0.0]])
+        params = EpidemicParams(alpha=np.full(2, 0.05), beta=np.array([0.3, 0.05]),
+                                sigma=np.full(2, 0.2), delta=np.array([0.2, 1.0]))
+        scaled = perturb_flows_balanced(net, c * net.gamma)
+        for network, (s_of_u, label) in ((net, before), (scaled, after)):
+            report = classify_healthy(params, network)
+            assert report.s_of_U == pytest.approx(s_of_u, abs=1e-6)
+            assert report.classification == label
 
 
 class TestHausdorff:
