@@ -56,6 +56,7 @@ from .ingest import (
 from .network import (
     NetworkSchedule,
     is_strongly_connected,
+    perturb_flows_balanced,
     _worst_imbalance,
 )
 from .stability import (
@@ -210,10 +211,16 @@ def cmd_stability(args) -> int:
     payload["uniqueness_condition"] = uniqueness_condition(params, network)
     payload["strongly_connected"] = is_strongly_connected(network)
     if args.perturb_scale is not None:
-        drift = eigenvalue_drift_under_perturbation(
-            params, network, args.perturb_scale * network.gamma
-        )
-        payload["perturbation"] = {"theta_scale": args.perturb_scale, "eigenvalue_drift": drift}
+        theta = args.perturb_scale * network.gamma
+        drift = eigenvalue_drift_under_perturbation(params, network, theta)
+        after = classify_healthy(params, perturb_flows_balanced(network, theta),
+                                 marginal_band=args.marginal_band)
+        payload["perturbation"] = {
+            "theta_scale": args.perturb_scale,
+            "eigenvalue_drift": drift,
+            "classification_after": after.classification,
+            "s_of_U_after": after.s_of_U,
+        }
     reports = {"stability.json": payload}
     if args.endemic:
         solution = solve_endemic(
@@ -251,7 +258,7 @@ def cmd_distance(args) -> int:
         dist = effective_distance_from(log_distance_graph(network), source)
         label = {"kind": "from_source", "source": args.source}
     else:
-        members = frozenset(network.node_index(x) for x in args.infected.split(","))
+        members = frozenset(network.node_index(x) for x in _group_ids(args.infected, node_ids))
         dist = group_effective_distance(network, InfectedSet(members=members))
         label = {"kind": "from_group", "members": sorted(node_ids[i] for i in members)}
     _write_csv(_out(args, "distances.csv"), ["node_id", "effective_distance"],
@@ -261,6 +268,12 @@ def cmd_distance(args) -> int:
                       for i in range(network.n)}})
     print(f"wrote {_out(args, 'distances.csv')}")
     return EXIT_OK
+
+
+def _group_ids(values, node_ids) -> list[str]:
+    """Node ids named by the --infected values: a value that is a node id
+    is taken whole, so an id may hold a comma; any other is split on ','."""
+    return [x for v in values for x in ([v] if v in node_ids else v.split(","))]
 
 
 def cmd_predict(args) -> int:
@@ -461,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=10_000)
     p.add_argument("--damping", type=float, default=0.5)
     p.add_argument("--perturb-scale", type=float, default=None,
-                   help="report eigenvalue drift for theta = scale * gamma")
+                   help="report eigenvalue drift and the classification after "
+                        "the perturbation theta = scale * gamma")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("estimate", help="recover spread rates from observations")
@@ -476,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_system_inputs(p, with_params=False)
     p.add_argument("--source", help="single source node id")
-    p.add_argument("--infected", help="comma-separated node ids forming the group")
+    p.add_argument("--infected", action="append",
+                   help="node ids forming the group, comma-separated or one per flag")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("predict", help="arrival times: full-fit baseline vs sliding window")
@@ -509,7 +524,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     argparse checks it against the flag's type and choices and every flag
     given on the command line wins, abbreviated or not. Values that are not
     strings go in as their JSON text, so 2.5 fails an int flag; null leaves
-    a flag unset, and on/off flags take true or false.
+    a flag unset, and on/off flags take true or false. A repeatable flag
+    takes a value or a list of them, and the command line's own values
+    replace the config's.
     """
     args = parser.parse_args(argv)
     if not args.config:
@@ -537,8 +554,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
             if value:
                 tokens.append(action.option_strings[0])
         elif value is not None:
-            text = value if isinstance(value, str) else json.dumps(value)
-            tokens.append(f"{action.option_strings[0]}={text}")
+            repeated = isinstance(action, argparse._AppendAction)
+            if repeated and getattr(args, action.dest) is not None:
+                continue  # the command line's own values replace the config's
+            for item in value if repeated and isinstance(value, list) else [value]:
+                text = item if isinstance(item, str) else json.dumps(item)
+                tokens.append(f"{action.option_strings[0]}={text}")
     at = argv.index(args.command) + 1
     return parser.parse_args(argv[:at] + tokens + argv[at:])
 

@@ -108,21 +108,36 @@ def log_distance_graph(network: FlowNetwork) -> DistanceGraph:
 
 def _shortest_paths(cost: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """Label-setting Dijkstra over the dense costs cost[u, v] >= 0 of the
-    hops u -> v (inf where there is none).
+    hops u -> v (inf where there is none), a C-contiguous row per hop origin.
 
     dist holds the start labels and is lowered in place to the distances.
-    Each step settles the smallest open label, and the loop ends once that
-    label is inf.
+    cost is the caller's own block: its diagonal is set to inf, since a node
+    has no hop to itself, so the column minimum into[v] is the cheapest hop
+    into v from another node.
+
+    Each round settles every open label that no open node can still lower
+    (Crauser, Mehlhorn, Meyer & Sanders, MFCS 1998). With low the smallest
+    open label, every later offer to v is at least low + into[v], because
+    IEEE addition is monotone. So a round settles each open v with
+    dist[v] <= low + into[v], which an offer can at best tie, and relaxes
+    their rows in a few numpy calls. Offers to settled nodes never undercut
+    them either, and min is exact, so the distances keep the bits and the
+    signs of zero of settling one label per step. A round settles at least
+    the smallest open label, and the loop ends once that label is inf.
     """
-    cost = np.ascontiguousarray(cost)  # contiguous rows relax faster at large n
-    closed = np.zeros_like(dist)
-    pending = np.empty_like(dist)
+    np.fill_diagonal(cost, np.inf)
+    into = cost.min(axis=0, initial=np.inf)
+    open_ = np.arange(len(dist))
     for _ in range(len(dist)):
-        u = np.add(dist, closed, out=pending).argmin()
-        if pending[u] == np.inf:
+        labels = dist[open_]
+        low = labels.min(initial=np.inf)
+        if low == np.inf:
             break
-        closed[u] = np.inf
-        np.minimum(dist, dist[u] + cost[u], out=dist)
+        done = labels <= low + into[open_]
+        offers = cost[open_[done]]
+        offers += labels[done, None]
+        np.minimum(dist, offers.min(axis=0), out=dist)
+        open_ = open_[~done]
     return dist
 
 
@@ -133,7 +148,7 @@ def effective_distance_from(graph: DistanceGraph, source: int) -> np.ndarray:
         raise ValidationError(f"source {source} out of range for n={graph.n}")
     dist = np.full(graph.n, np.inf)
     dist[source] = 0.0
-    return _shortest_paths(graph.d.T, dist)
+    return _shortest_paths(graph.d.T.copy(), dist)  # a copy: graph.d stays as it is
 
 
 def group_effective_distance(network: FlowNetwork, infected: InfectedSet) -> np.ndarray:

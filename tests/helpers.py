@@ -127,6 +127,21 @@ def shortest_paths_by_heap(d, sources):
     return dist
 
 
+def shortest_paths_one_at_a_time(cost, dist):
+    """The dense Dijkstra as it ran before it settled labels in rounds:
+    each step settles the smallest open label and relaxes its row of
+    cost[u, v], the cost of the hop u -> v. dist is lowered in place."""
+    closed = np.zeros_like(dist)
+    pending = np.empty_like(dist)
+    for _ in range(len(dist)):
+        u = np.add(dist, closed, out=pending).argmin()
+        if pending[u] == np.inf:
+            break
+        closed[u] = np.inf
+        np.minimum(dist, dist[u] + cost[u], out=dist)
+    return dist
+
+
 def shortest_paths_by_csgraph(hops, costs, source):
     """scipy's csgraph Dijkstra from source (inf where unreachable) over the
     hops u -> v for which hops[u, v] is true; costs holds their nonnegative

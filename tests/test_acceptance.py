@@ -120,8 +120,11 @@ def test_criterion_3_flow_perturbation_eigenvalue_drift():
     EXPECTED TO FAIL. Balance makes the perturbation block's row sums zero,
     not the block itself, so only the dominant part of the spectrum is
     protected: the measured drift scales linearly with theta (median around
-    1e-3 here) while the stability classification never flips. The bound is
-    asserted as stated instead of being weakened to match observed behavior.
+    1e-3 here). The classification does not flip in these 50 trials, but
+    that is no law: test_stability.py's TestTravelScaling shows it exactly
+    invariant for equal rates at every node and flipped for unequal rates.
+    The bound is asserted as stated instead of being weakened to match
+    observed behavior.
     """
     rng = np.random.default_rng(303)
     drifts = []

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import epiflows
-from epiflows import cli, effdist, read_trajectory_csv, simulate_discrete, write_trajectory_csv
+from epiflows import (
+    EpidemicParams,
+    build_network,
+    cli,
+    effdist,
+    read_trajectory_csv,
+    simulate_discrete,
+    write_trajectory_csv,
+)
 from epiflows.cli import main
 from epiflows.demo import (
     five_node_initial_state,
@@ -172,6 +180,31 @@ class TestStability:
         report = read_json(tmp_path / "stability.json")
         assert report["perturbation"]["eigenvalue_drift"] >= 0.0
 
+    @pytest.mark.parametrize("flow, scale, before, after", [
+        (0.0398, 0.5, (0.010136, "Unstable"), (-0.003755, "Stable")),
+        (0.1, -0.5, (-0.025951, "Stable"), (0.002745, "Unstable")),
+    ])
+    def test_classification_after_the_perturbation(self, tmp_path, flow, scale, before, after):
+        # the two-node systems of test_stability's TestTravelScaling, whose
+        # classification flips when all travel is scaled by 1 + scale
+        net = build_network(["a", "b"], [1.0, 1.0], [[0.0, flow], [flow, 0.0]])
+        params = EpidemicParams(alpha=np.full(2, 0.05), beta=np.array([0.3, 0.05]),
+                                sigma=np.full(2, 0.2), delta=np.array([0.2, 1.0]))
+        paths = dump_system_csvs(tmp_path, net, params)
+        code = run("stability", "--populations", str(paths["populations"]),
+                   "--flows", str(paths["flows"]), "--params", str(paths["params"]),
+                   "--aggregation-days", "1", f"--perturb-scale={scale}",
+                   "--out-dir", str(tmp_path))
+        assert code == 0
+        report = read_json(tmp_path / "stability.json")
+        assert report["s_of_U"] == pytest.approx(before[0], abs=1e-6)
+        assert report["classification"] == before[1]
+        perturbation = report["perturbation"]
+        assert set(perturbation) == {"theta_scale", "eigenvalue_drift",
+                                     "classification_after", "s_of_U_after"}
+        assert perturbation["s_of_U_after"] == pytest.approx(after[0], abs=1e-6)
+        assert perturbation["classification_after"] == after[1]
+
     @pytest.mark.parametrize("flag", ["--marginal-band", "--perturb-scale"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_exits_2_with_json(self, tmp_path, capsys, flag, value):
@@ -286,6 +319,38 @@ class TestDistance:
                    "--out-dir", str(tmp_path))
         assert code == 0
         assert read_json(tmp_path / "distances.json")["members"] == ["n1", "n3"]
+
+    @pytest.mark.parametrize("infected, members", [
+        (["b,c"], ["b,c"]),
+        (["b,c", "a"], ["a", "b,c"]),
+        (["a,d", "b,c", "d"], ["a", "b,c", "d"]),
+    ])
+    def test_group_ids_with_commas(self, tmp_path, infected, members):
+        # a value that names a node is taken whole; any other is split on ','
+        flows = np.ones((4, 4)) - np.eye(4)
+        net = build_network(["a", "b,c", "d", "e"], [10.0, 20.0, 30.0, 40.0], flows)
+        paths = dump_system_csvs(tmp_path, net)
+        argv = [f"--infected={v}" for v in infected]
+        code = run("distance", "--populations", str(paths["populations"]),
+                   "--flows", str(paths["flows"]), "--aggregation-days", "1", *argv,
+                   "--out-dir", str(tmp_path))
+        assert code == 0
+        payload = read_json(tmp_path / "distances.json")
+        assert payload["members"] == members
+        assert {nid for nid, d in payload["distances"].items() if d == 0.0} == set(members)
+
+    @pytest.mark.parametrize("config, argv, members", [
+        ("n1,n3", [], ["n1", "n3"]),
+        (["n3", "n1,n2"], [], ["n1", "n2", "n3"]),
+        (["n3", "n1,n2"], ["--infected", "n4"], ["n4"]),
+    ])
+    def test_group_from_config(self, tmp_path, config, argv, members):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"infected": config}))
+        code = run("distance", "--demo", "five-node", "--config", str(cfg), *argv,
+                   "--out-dir", str(tmp_path))
+        assert code == 0
+        assert read_json(tmp_path / "distances.json")["members"] == members
 
 
 @pytest.fixture(scope="module")

@@ -38,6 +38,7 @@ from helpers import (
     random_balanced_network,
     shortest_paths_by_enumeration,
     shortest_paths_by_heap,
+    shortest_paths_one_at_a_time,
 )
 
 
@@ -392,6 +393,131 @@ class TestCsgraphOracle:
         source = min(members)
         assert_same_bits(effective_distance_from(log_distance_graph(net), source),
                          distance_from_by_csgraph(log_distance_graph(net).d, source))
+
+
+def assert_search_matches_one_at_a_time(cost, start):
+    """The round search against the one-label-per-step loop it replaced,
+    each from its own copy of the costs (row per hop origin) and labels."""
+    got = effdist._shortest_paths(np.array(cost, order="C"), start.copy())
+    assert_same_bits(got, shortest_paths_one_at_a_time(np.array(cost), start.copy()))
+
+
+def ring_network(n):
+    """Each node sends all of its travel to the next, so every hop has
+    routing weight 1 and costs +0.0."""
+    flows = np.roll(np.eye(n), 1, axis=0)
+    return build_network([str(i) for i in range(n)], np.full(n, 10.0), flows)
+
+
+class TestRoundSearch:
+    """The Dijkstra settles labels in rounds; its distances are those of
+    settling one label per step, bit for bit and sign for sign."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """Rounds of each search, counted as the reads of rows of its cost,
+        which a round makes once for all the labels it settles."""
+        counts, real = [], effdist._shortest_paths
+
+        def search(cost, dist):
+            reads = []
+
+            class Rows(np.ndarray):
+                def __getitem__(self, key):
+                    if self.ndim == 2:
+                        reads.append(key)
+                    return super().__getitem__(key)
+
+            out = real(cost.view(Rows), dist)
+            counts.append(len(reads))
+            return out
+
+        monkeypatch.setattr(effdist, "_shortest_paths", search)
+        return counts
+
+    @pytest.mark.parametrize("n", [87, 1000])
+    def test_gravity_counties(self, n):
+        rng = np.random.default_rng(n + 1)
+        for seed in (1, 2):
+            g = log_distance_graph(synthetic_county_system(n=n, seed=seed)[0])
+            for source in rng.choice(n, 3, replace=False).tolist():
+                start = np.full(n, np.inf)
+                start[source] = 0.0
+                assert_same_bits(effective_distance_from(g, source),
+                                 shortest_paths_one_at_a_time(g.d.T, start))
+            # many finite start labels, as a group search has: the hops
+            # out of k sources (the diagonal puts each source at 0)
+            for k in (2, 20, n // 2):
+                start = g.d[:, rng.choice(n, k, replace=False)].min(axis=1)
+                assert_search_matches_one_at_a_time(g.d.T, start)
+
+    @PROPERTY_SETTINGS
+    @given(graphs_with_sure_hops(), st.sets(st.integers(0, 7), min_size=1))
+    def test_zero_cost_hops(self, net, sources):
+        g = log_distance_graph(net)
+        start = g.d[:, sorted({s % net.n for s in sources})].min(axis=1)
+        assert_search_matches_one_at_a_time(g.d.T, start)
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_all_ties(self, n):
+        # on the ring every reachable label ties at +0.0 and no hop costs
+        # more than 0, so only the labels equal to the smallest one settle
+        ring = log_distance_graph(ring_network(n))
+        for source in (0, n - 1):
+            got = effective_distance_from(ring, source)
+            assert_same_bits(got, np.zeros(n))
+            start = np.full(n, np.inf)
+            start[source] = 0.0
+            assert_search_matches_one_at_a_time(ring.d.T, start)
+        # equal routing weights on the complete graph: every hop costs log(n - 1)
+        flows = np.ones((n, n)) - np.eye(n)
+        uniform = log_distance_graph(build_network([str(i) for i in range(n)],
+                                                   np.full(n, 10.0), flows))
+        assert_search_matches_one_at_a_time(uniform.d.T, np.full(n, 0.5))
+        assert_search_matches_one_at_a_time(uniform.d.T, uniform.d[:, 0].copy())
+
+    @pytest.mark.parametrize("direct", [2.5, np.nextafter(2.0, 3.0)], ids=["wide", "one-ulp"])
+    def test_a_label_lowered_after_its_first_offer(self, direct):
+        # 0 -> 1 costs `direct` and 2 through node 2, and node 3 is one hop
+        # past node 1: settling node 1 at its first offer would put 3 past 3.0
+        cost = np.full((4, 4), np.inf)
+        np.fill_diagonal(cost, 0.0)
+        cost[0, 1], cost[0, 2], cost[2, 1], cost[1, 3] = direct, 1.0, 1.0, 1.0
+        start = np.array([0.0, np.inf, np.inf, np.inf])
+        assert effdist._shortest_paths(cost.copy(), start.copy()).tolist() == [0.0, 2.0, 1.0, 3.0]
+        assert_search_matches_one_at_a_time(cost, start)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        arrays(float, (n, n), elements=st.sampled_from([np.inf, np.inf, 0.0, 0.5, 1.0, 2.5])),
+        arrays(float, n, elements=st.sampled_from([np.inf, 0.0, 1.0, 3.0])))))
+    def test_sparse_costs_and_start_labels(self, case):
+        assert_search_matches_one_at_a_time(*case)
+
+    def test_a_county_of_1000_settles_in_few_rounds(self, rounds):
+        net, params, origin = synthetic_county_system(n=1000, seed=3)
+        g = log_distance_graph(net)
+        for source in (0, origin, 999):
+            effective_distance_from(g, source)
+        traj = simulate_discrete(seeded_initial_state(1000, origin), params, net, steps=320)
+        nodes = [a.node for a in arrival_times(traj.times, traj.x, 1e-3)]
+        for size in (1, 2, 8, 50, len(nodes) // 2):
+            group_effective_distance(net, InfectedSet(members=frozenset(nodes[:size])))
+        assert len(rounds) == 8
+        assert all(1 <= r <= 10 for r in rounds), rounds
+
+    @pytest.mark.parametrize("layout", ["F", "C", "read-only"])
+    def test_source_search_leaves_the_graph_as_it_was(self, layout):
+        d = log_distance_graph(synthetic_county_system(n=87, seed=1)[0]).d
+        if layout == "C":
+            d = np.ascontiguousarray(d)
+        elif layout == "read-only":
+            d.flags.writeable = False
+        before = d.copy()
+        flags = {k: d.flags[k] for k in ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE")}
+        effective_distance_from(DistanceGraph(d=d), 5)
+        assert_same_bits(d, before)
+        assert flags == {k: d.flags[k] for k in flags}
 
 
 class TestDistanceCost:

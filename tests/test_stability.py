@@ -323,9 +323,11 @@ class TestEigenvalueDrift:
             eigenvalue_drift_under_perturbation(params, net, np.zeros(2))
 
     def test_classification_survives_permissible_perturbations(self):
-        # the provable content of flow-perturbation invariance: the sign of
-        # s(U) never flips (the full spectrum does move; see the acceptance
-        # suite for the stricter, currently unattainable drift bound)
+        # the sign of s(U) does not flip in these trials, but that is no law:
+        # TestTravelScaling shows it exactly invariant for equal rates and
+        # flipped for unequal ones, which this generator does not reach (the
+        # full spectrum does move; see the acceptance suite for the stricter,
+        # currently unattainable drift bound)
         rng = np.random.default_rng(33)
         for _ in range(50):
             n = int(rng.integers(2, 7))
