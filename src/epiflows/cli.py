@@ -56,12 +56,11 @@ from .ingest import (
 from .network import (
     NetworkSchedule,
     is_strongly_connected,
-    perturb_flows_balanced,
     _worst_imbalance,
 )
 from .stability import (
+    _classify_perturbed,
     classify_healthy,
-    eigenvalue_drift_under_perturbation,
     solve_endemic,
     uniqueness_condition,
 )
@@ -211,10 +210,8 @@ def cmd_stability(args) -> int:
     payload["uniqueness_condition"] = uniqueness_condition(params, network)
     payload["strongly_connected"] = is_strongly_connected(network)
     if args.perturb_scale is not None:
-        theta = args.perturb_scale * network.gamma
-        drift = eigenvalue_drift_under_perturbation(params, network, theta)
-        after = classify_healthy(params, perturb_flows_balanced(network, theta),
-                                 marginal_band=args.marginal_band)
+        after, drift = _classify_perturbed(report, params, network,
+                                           args.perturb_scale * network.gamma)
         payload["perturbation"] = {
             "theta_scale": args.perturb_scale,
             "eigenvalue_drift": drift,
@@ -532,11 +529,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     if not args.config:
         return args
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValidationError("config must be a JSON object")
@@ -577,6 +574,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ComputationError as exc:
         return _fail(exc, EXIT_COMPUTATION)
+    except MemoryError as exc:
+        # numpy raises a private subclass; report the builtin's name
+        return _fail(MemoryError(str(exc)), EXIT_COMPUTATION)
     except (EpiflowsError, OSError) as exc:
         return _fail(exc, EXIT_VALIDATION)
 

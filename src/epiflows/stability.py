@@ -119,14 +119,6 @@ def healthy_jacobian(params: EpidemicParams, network: FlowNetwork) -> np.ndarray
     return _healthy_part(params, network, slice(0, 3))
 
 
-def _healthy_spectra(params: EpidemicParams, network: FlowNetwork):
-    """(spec U, sorted spec J). J is block lower-triangular, U over (e, x) and
-    Phi - diag(alpha + gamma) over r, so spec J is the union of the two."""
-    eig_u = _eigvals(u_matrix(params, network))
-    eig_r = _eigvals(_healthy_part(params, network, slice(2, 3)))
-    return eig_u, np.sort_complex(np.concatenate([eig_u, eig_r]))
-
-
 def classify_healthy(
     params: EpidemicParams,
     network: FlowNetwork,
@@ -136,10 +128,12 @@ def classify_healthy(
 
     The stability conditions are strict inequalities, so a band around
     s(U) = 0 makes the boundary testable: anything inside it is Marginal.
+    No other function eigensolves a network.
     """
     if not (np.isfinite(marginal_band) and marginal_band >= 0):
         raise ValidationError("marginal_band must be finite and nonnegative")
-    eig_u, spectrum = _healthy_spectra(params, network)
+    eig_u = _eigvals(u_matrix(params, network))
+    eig_r = _eigvals(_healthy_part(params, network, slice(2, 3)))
     s_u = float(eig_u.real.max())
     if s_u < -marginal_band:
         label = STABLE
@@ -150,7 +144,7 @@ def classify_healthy(
     return StabilityReport(
         s_of_U=s_u,
         classification=label,
-        jacobian_spectrum=spectrum,
+        jacobian_spectrum=np.sort_complex(np.concatenate([eig_u, eig_r])),
         marginal_band=marginal_band,
     )
 
@@ -293,6 +287,23 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
 
 
+def _classify_perturbed(report: StabilityReport, params: EpidemicParams, network: FlowNetwork,
+                        theta) -> tuple[StabilityReport, float]:
+    """(report on network after the balance-preserving perturbation theta, in
+    report's band; Hausdorff drift between the two Jacobian spectra). report is
+    classify_healthy's on network, with distinct eigenvalues (gap > 1e-8)."""
+    eig0 = report.jacobian_spectrum
+    gaps = np.abs(eig0.reshape(-1, 1) - eig0.reshape(1, -1))
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min() <= 1e-8:
+        raise DegenerateSpectrum(
+            f"healthy-state Jacobian has eigenvalues closer than 1e-8 "
+            f"(min gap {gaps.min():.3e})"
+        )
+    after = classify_healthy(params, perturb_flows_balanced(network, theta), report.marginal_band)
+    return after, hausdorff_distance(eig0, after.jacobian_spectrum)
+
+
 def eigenvalue_drift_under_perturbation(
     params: EpidemicParams, network: FlowNetwork, theta
 ) -> float:
@@ -302,14 +313,4 @@ def eigenvalue_drift_under_perturbation(
     Requires the unperturbed Jacobian to have distinct eigenvalues
     (pairwise gap > 1e-8).
     """
-    _, eig0 = _healthy_spectra(params, network)
-    gaps = np.abs(eig0.reshape(-1, 1) - eig0.reshape(1, -1))
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() <= 1e-8:
-        raise DegenerateSpectrum(
-            f"healthy-state Jacobian has eigenvalues closer than 1e-8 "
-            f"(min gap {gaps.min():.3e})"
-        )
-    perturbed = perturb_flows_balanced(network, theta)
-    _, eig1 = _healthy_spectra(params, perturbed)
-    return hausdorff_distance(eig0, eig1)
+    return _classify_perturbed(classify_healthy(params, network), params, network, theta)[1]

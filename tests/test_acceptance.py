@@ -144,8 +144,8 @@ def test_criterion_3_flow_perturbation_eigenvalue_drift():
     ok = worst < 1e-8
     _report(3, ok, f"max drift {worst:.3e} (bound 1e-8), classification flips: {flips}/50")
     assert worst < 1e-8, (
-        f"spectrum drift {worst:.3e} exceeds 1e-8; the invariance holds only "
-        f"for the stability classification ({flips} flips observed)"
+        f"spectrum drift {worst:.3e} exceeds 1e-8: balance does not fix the whole "
+        f"spectrum ({flips} classification flips here; TestTravelScaling flips one)"
     )
 
 

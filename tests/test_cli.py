@@ -15,10 +15,14 @@ import epiflows
 from epiflows import (
     EpidemicParams,
     build_network,
+    classify_healthy,
     cli,
     effdist,
+    eigenvalue_drift_under_perturbation,
+    perturb_flows_balanced,
     read_trajectory_csv,
     simulate_discrete,
+    stability,
     write_trajectory_csv,
 )
 from epiflows.cli import main
@@ -180,6 +184,41 @@ class TestStability:
         report = read_json(tmp_path / "stability.json")
         assert report["perturbation"]["eigenvalue_drift"] >= 0.0
 
+    def test_perturbation_solves_each_network_once(self, tmp_path):
+        # a 2n and an n eigensolve for the network, the same for its
+        # perturbation: the drift reuses the command's own report
+        with mock.patch.object(stability, "_eigvals", wraps=stability._eigvals) as eig:
+            assert run("stability", "--demo", "five-node", "--perturb-scale", "0.1",
+                       "--out-dir", str(tmp_path)) == 0
+        assert [call.args[0].shape for call in eig.call_args_list] == [(10, 10), (5, 5)] * 2
+
+    @pytest.mark.parametrize("system", ["demo", "county"])
+    def test_perturbation_matches_the_library(self, tmp_path, system):
+        if system == "demo":
+            inputs = ["--demo", "five-node"]
+        else:
+            # a band wider than |s(U)| on both networks shows it reaches the
+            # perturbed network's classification
+            net, params, _ = synthetic_county_system(n=87, seed=1)
+            paths = dump_system_csvs(tmp_path, net, params)
+            inputs = ["--populations", str(paths["populations"]), "--flows",
+                      str(paths["flows"]), "--params", str(paths["params"]),
+                      "--aggregation-days", "1", "--marginal-band", "1"]
+        argv = ["stability", *inputs, "--perturb-scale", "0.1", "--out-dir", str(tmp_path)]
+        assert run(*argv) == 0
+        args = cli.build_parser().parse_args(argv)
+        schedule, params = cli._load_system(args)
+        net = schedule.periods[0][1]
+        theta = 0.1 * net.gamma
+        after = classify_healthy(params, perturb_flows_balanced(net, theta), args.marginal_band)
+        assert after.classification == ("Unstable" if system == "demo" else "Marginal")
+        assert read_json(tmp_path / "stability.json")["perturbation"] == {
+            "theta_scale": 0.1,
+            "eigenvalue_drift": eigenvalue_drift_under_perturbation(params, net, theta),
+            "classification_after": after.classification,
+            "s_of_U_after": after.s_of_U,
+        }
+
     @pytest.mark.parametrize("flow, scale, before, after", [
         (0.0398, 0.5, (0.010136, "Unstable"), (-0.003755, "Stable")),
         (0.1, -0.5, (-0.025951, "Stable"), (0.002745, "Unstable")),
@@ -230,6 +269,22 @@ class TestStability:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "NoConvergence"
         assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "continuous", "--t-end", "1e13"],  # a 7.1 PiB step grid
+    ["--steps", "1000000000000000"],  # a 142 PiB trajectory
+])
+def test_allocation_failure_exits_1_with_json(tmp_path, capsys, argv):
+    # both requests exceed the 128 TiB of a 47-bit address space, so they
+    # fail at allocation under any overcommit policy and touch no memory
+    code = run("simulate", "--demo", "five-node", *argv, "--out-dir", str(tmp_path))
+    assert code == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "MemoryError" and "Unable to allocate" in err["message"]
+    assert "Traceback" not in captured.err + captured.out
+    assert os.listdir(tmp_path) == []
 
 
 class TestEstimate:
@@ -646,6 +701,17 @@ class TestConfigFile:
         assert run("stability", "--demo", "five-node", "--config", str(config),
                    "--out-dir", str(tmp_path)) == 0
         assert "perturbation" not in read_json(tmp_path / "stability.json")
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b"\xff\xfe{}")
+        code = run("stability", "--demo", "five-node", "--config", str(config),
+                   "--out-dir", str(tmp_path))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "stability.json").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

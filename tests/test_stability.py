@@ -321,6 +321,12 @@ class TestEigenvalueDrift:
         )
         with pytest.raises(DegenerateSpectrum):
             eigenvalue_drift_under_perturbation(params, net, np.zeros(2))
+        # checked before theta, which perturb_flows_balanced would reject
+        theta = np.array([np.nan, np.inf])
+        with pytest.raises(ValidationError):
+            perturb_flows_balanced(net, theta)
+        with pytest.raises(DegenerateSpectrum):
+            eigenvalue_drift_under_perturbation(params, net, theta)
 
     def test_classification_survives_permissible_perturbations(self):
         # the sign of s(U) does not flip in these trials, but that is no law:
