@@ -1,17 +1,24 @@
 """Column-wise CSV reading and writing shared by every CSV file.
 
-A file is read once as bytes. When it holds no ``"`` and no lone ``\\r``
-and every non-blank data row has the header's field count, numpy finds the
-``,`` and ``\\n`` bytes and gathers each needed column's cells straight into
-a bytes (``S``) array. Any other file (quoted cells, short or long rows)
-goes through ``csv.reader``, whose cells are packed into the same arrays, so
-both paths give identical columns and hence identical values and errors.
-A leading UTF-8 byte-order mark is skipped; a byte that is not UTF-8 text
-(or is NUL) is a ParseError. Messages name ``path:line``, counting the
-header as line 1 and skipping blank lines as ``csv.DictReader`` does.
+A file is read as a stream of line-aligned blocks of about ``_BLOCK`` bytes,
+and each block is decoded before the next is read, so reading holds the
+caller's parsed arrays plus one block's text, never a whole-file column,
+offset array or byte mask. When a block holds no ``"``, no lone ``\\r`` and
+no byte that is not UTF-8 text, and each of its non-blank rows has the
+header's field count, numpy finds the ``,`` and ``\\n`` bytes and gathers
+each needed column's cells straight into a bytes (``S``) array. A file with
+any other block (quoted cells, short or long rows) is read again whole
+through ``csv.reader``, whose cells are packed into the same arrays, so both
+paths give identical columns and hence identical values and errors. A
+stream that cannot seek back, such as a pipe, is held whole in memory for
+that reason. A leading UTF-8 byte-order mark is skipped; a byte that is not
+UTF-8 text (or is NUL) is a ParseError. Messages name ``path:line``,
+counting the header as line 1 and skipping blank lines as ``csv.DictReader``
+does.
 
 Files are written a column at a time, with the bytes ``csv.writer`` gives:
-minimal quoting, ``\\r\\n`` line ends, and numbers as their ``repr``.
+minimal quoting, ``\\r\\n`` line ends, and numbers as their ``repr``,
+formatted ``_ROWS`` values at a time.
 """
 from __future__ import annotations
 
@@ -20,11 +27,17 @@ import csv
 import io
 import math
 import re
+from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import EpiflowsError, ParseError
 
+# bytes read per block (a longer line is one block); after reading, the heap
+# keeps holes about the size of one block's temporaries, and 1 MiB blocks
+# left 3-5 MB more resident than these
+_BLOCK = 1 << 19
+_ROWS = 1 << 13  # values formatted per block when writing
 _PAD = 8  # zero bytes after the text, so every cell start has 8 bytes to load
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)] + [2**64 - 1], "<u8")
 _MISSING = b"\xff"  # a short row's missing cell; UTF-8 text never holds this byte
@@ -32,18 +45,103 @@ _NOT_TEXT = re.compile("[\0\udc80-\udcff]")  # NUL, and bytes surrogateescape ke
 _WIDE = 4  # an S column may take this many times the file's bytes, else object
 
 
-def read_columns(path, names, header_error: Exception) -> list[np.ndarray]:
-    """The cells of the named columns, found by header name (extra columns
-    and any order are fine), as arrays of bytes; a short row's missing cells
-    read as ``_MISSING``."""
+def read_columns(path, names, header_error: Exception, rows) -> list[np.ndarray]:
+    """The named columns (found by header name: extra columns and any order
+    are fine), decoded a block at a time by ``rows(start, *cells)``.
+
+    ``cells`` are the block's cells of each column as arrays of bytes, a
+    short row's missing cells reading as ``_MISSING``, and ``start`` is the
+    number of data rows before the block. ``rows`` returns a tuple of
+    arrays, one row each, which are joined across blocks, or raises the
+    EpiflowsError of its earliest bad row; that error is raised once the
+    rest of the file is known to need no ``csv.reader``. A file that does is
+    passed to ``rows`` whole, at start 0, so state that ``rows`` keeps
+    across blocks starts over at 0.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        stream = fh if fh.seekable() else io.BytesIO(fh.read())
+        out, size, start, error = None, 0, 0, None
+        for block in _blocks(stream):
+            try:
+                columns = None if _needs_reader(block) else _split(block, names, header_error)
+                if columns is None:
+                    break
+                if error is None:
+                    part = rows(start, *columns)
+                    out = _append(out, size, part)
+                    size, start = size + len(part[0]), start + len(columns[0])
+            except EpiflowsError as exc:
+                error = error or exc
+        else:
+            if error is not None:
+                raise error
+            for column in out:
+                if len(column) > size:  # grown by _append, so it owns its data
+                    column.resize(size, refcheck=False)
+            return out
+        stream.seek(0)
+        data = stream.read()
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     data = b"".join((memoryview(data)[bom:], bytes(_PAD)))
     if not data.isascii() or data.find(b"\0", 0, -_PAD) >= 0:
         _check_text(path, data)
-    columns = None if b'"' in data else _split(data, names, header_error)
-    return _read_rows(path, data, names, header_error) if columns is None else columns
+    return list(rows(0, *_read_rows(path, data, names, header_error)))
+
+
+def _append(out, size: int, part) -> list[np.ndarray]:
+    """The arrays ``out``, filled to row ``size``, with the arrays ``part``
+    written after them. An array too short or too narrow for its part is
+    replaced by one of twice the length, so no list of parts is kept and
+    the long-lived rows do not sit between one block's freed temporaries."""
+    if out is None:
+        return list(part)
+    need = size + len(part[0])
+    grown = []
+    for column, cells in zip(out, part):
+        dtype = np.result_type(column, cells)
+        if need > len(column) or dtype != column.dtype:
+            wider = np.empty(max(need, 2 * len(column)), dtype)
+            wider[:size] = column[:size]
+            column = wider
+        column[size:need] = cells
+        grown.append(column)
+    return grown
+
+
+def _blocks(stream):
+    """The stream's text as blocks of whole lines, each led by the header
+    line (the first block is the header's own) and zero-padded; a file with
+    no bytes is one empty block."""
+    header, pending, more = None, [], True
+    while more:
+        chunk = stream.read(_BLOCK)
+        more, end = bool(chunk), chunk.rfind(b"\n") + 1
+        if more and not end:
+            pending.append(chunk)
+            continue
+        block = b"".join((header or b"", *pending, memoryview(chunk)[:end], bytes(_PAD)))
+        pending, chunk = [chunk[end:]], None
+        if header is None:
+            if block.startswith(codecs.BOM_UTF8):
+                block = block[len(codecs.BOM_UTF8):]
+            header = block[: block.find(b"\n") + 1]
+        elif len(block) == len(header) + _PAD:
+            continue
+        yield block
+
+
+def _needs_reader(block: bytes) -> bool:
+    """Whether the block holds a quote, a NUL or a byte that is not UTF-8,
+    which only the whole-file ``csv.reader`` path reads or reports."""
+    if b'"' in block or block.find(b"\0", 0, -_PAD) >= 0:
+        return True
+    if block.isascii():
+        return False
+    try:
+        block.decode()
+    except UnicodeDecodeError:
+        return True
+    return False
 
 
 def _check_text(path, data: bytes) -> None:
@@ -75,9 +173,9 @@ def _lines(u8: np.ndarray, size: int):
 
 
 def _split(data: bytes, names, header_error):
-    """read_columns by numpy for a file with no quotes; None when a row's
-    field count is not the header's, a lone CR splits rows, or a column is
-    too wide for an S array."""
+    """The columns of a block (a header line, then data lines) with no
+    quotes, by numpy; None when a row's field count is not the header's, a
+    lone CR splits rows, or a column is too wide for an S array."""
     size = len(data) - _PAD
     u8 = np.frombuffer(data, np.uint8)
     lines = _lines(u8, size)
@@ -115,7 +213,7 @@ def _words(longest: int) -> int:
 
 
 def _too_wide(longest: int, rows: int, size: int) -> bool:
-    """Whether an S array of the column would dwarf the file (a few long cells)."""
+    """Whether an S array of the column would dwarf its text (a few long cells)."""
     return 8 * _words(longest) * rows > _WIDE * size
 
 
@@ -174,6 +272,15 @@ def text(cell) -> str | None:
 def distinct(column) -> tuple:
     """The texts of the column's cells in order of first appearance."""
     return tuple(map(text, dict.fromkeys(column.tolist())))
+
+
+def numbered(column, index: dict) -> np.ndarray:
+    """``indices`` of the column after adding to ``index`` the texts it does
+    not hold yet, numbered in order of first appearance; over a file's
+    blocks in turn, ``index`` ends as its ``distinct`` ids."""
+    for key in distinct(column):
+        index.setdefault(key, len(index))
+    return indices(column, index)
 
 
 def _keys(column: np.ndarray) -> np.ndarray:
@@ -240,25 +347,37 @@ def repeated(column) -> np.ndarray:
     return first[inverse] != np.arange(len(column))
 
 
-def raise_first(path, checks) -> None:
+def repeated_across(column, seen: list) -> np.ndarray:
+    """``repeated`` of one block's column, counting the cells of earlier
+    blocks too: ``seen`` holds them as one sorted array, and gains these."""
+    earlier = seen.pop() if seen else column[:0]
+    seen.append(np.sort(np.concatenate((earlier, column)), kind="stable"))
+    if not len(earlier):
+        return repeated(column)
+    at = np.searchsorted(earlier, column).clip(max=len(earlier) - 1)
+    return repeated(column) | (earlier[at] == column)
+
+
+def raise_first(path, checks, start: int = 0) -> None:
     """Raise for the earliest row failing a check. ``checks`` are (mask,
     error) pairs in the order one row is checked, ``error(k, where)``
-    building the exception for row k."""
+    building the exception for row k, which is data row ``start + k`` of
+    the file."""
     hits = [(int(np.argmax(bad)), order) for order, (bad, _) in enumerate(checks) if bad.any()]
     if hits:
         k, order = min(hits)
-        raise checks[order][1](k, f"{path}:{k + 2}")
+        raise checks[order][1](k, f"{path}:{start + k + 2}")
 
 
-def numbers(path, columns, names) -> list[np.ndarray]:
+def numbers(path, columns, names, start: int = 0) -> list[np.ndarray]:
     """The columns as finite floats; ParseError for the first cell that is
-    not one."""
+    not one, the columns starting at data row ``start``."""
     parsed = [decode(column) for column in columns]
     raise_first(path, [
         (bad, lambda k, where, column=column, name=name:
             ParseError(f"{where}: bad {name} value {text(column[k])!r}"))
         for (_, bad), column, name in zip(parsed, columns, names)
-    ])
+    ], start)
     return [values for values, _ in parsed]
 
 
@@ -270,8 +389,13 @@ def cell(text: str) -> str:
 
 
 def reprs(values):
-    """The cells of numbers: repr of each as a float, which never needs quoting."""
-    return map(repr, np.asarray(values, dtype=float).tolist())
+    """The cells of numbers in C order: repr of each as a float, which never
+    needs quoting. About ``_ROWS`` values are formatted at a time, so no
+    list of the whole array exists."""
+    values = np.asarray(values, dtype=float)
+    step = max(1, _ROWS // max(1, math.prod(values.shape[1:])))
+    return chain.from_iterable(map(repr, values[k : k + step].ravel().tolist())
+                               for k in range(0, len(values), step))
 
 
 def write_columns(path, header, columns) -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -140,6 +141,14 @@ def _load_system(args, need_params: bool = True):
     return schedule, params
 
 
+def _first_window(schedule: NetworkSchedule) -> dict:
+    """The window a report on one network used: the schedule's first, of
+    how many; an end of None is an unbounded (static) window."""
+    span = schedule.periods[0][0]
+    return {"index": 0, "start": 0.0, "end": span if math.isfinite(span) else None,
+            "of": len(schedule.periods)}
+
+
 def _initial_state(args, schedule: NetworkSchedule) -> SystemState:
     n = len(schedule.node_ids)
     if args.initial == "demo":
@@ -209,6 +218,7 @@ def cmd_stability(args) -> int:
     payload = report.to_dict()
     payload["uniqueness_condition"] = uniqueness_condition(params, network)
     payload["strongly_connected"] = is_strongly_connected(network)
+    payload["window"] = window = _first_window(schedule)
     if args.perturb_scale is not None:
         after, drift = _classify_perturbed(report, params, network,
                                            args.perturb_scale * network.gamma)
@@ -224,7 +234,8 @@ def cmd_stability(args) -> int:
             params, network, tolerance=args.tolerance,
             max_iterations=args.max_iterations, damping=args.damping,
         )
-        reports["endemic.json"] = solution.to_dict() | {"node_ids": list(network.node_ids)}
+        reports["endemic.json"] = solution.to_dict() | {"node_ids": list(network.node_ids),
+                                                        "window": window}
     for name, body in reports.items():
         _write_json(_out(args, name), body)
     print(f"healthy state: {report.classification} (s(U) = {report.s_of_U:.6g})")
@@ -262,7 +273,8 @@ def cmd_distance(args) -> int:
                [map(cell, node_ids), reprs(dist)])
     _write_json(_out(args, "distances.json"), label | {
         "distances": {node_ids[i]: (float(dist[i]) if np.isfinite(dist[i]) else None)
-                      for i in range(network.n)}})
+                      for i in range(network.n)},
+        "window": _first_window(schedule)})
     print(f"wrote {_out(args, 'distances.csv')}")
     return EXIT_OK
 

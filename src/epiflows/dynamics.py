@@ -16,8 +16,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._csvio import (cell, distinct, indices, numbers, raise_first, read_columns, repeated,
-                     reprs, text, write_columns)
+from ._csvio import (cell, numbered, numbers, raise_first, read_columns, repeated, reprs,
+                     write_columns)
 from .errors import (
     DimensionMismatch,
     InvalidState,
@@ -373,12 +373,14 @@ def simulate_discrete(
 
 def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """CSV with columns time, node_id, s, e, x, r (one row per node and time),
-    built column-wise: each time's cell is formatted once for all nodes."""
+    built column-wise: each time's cell is formatted once for all nodes, and
+    each compartment's cells a block of samples at a time."""
     node_ids = [cell(nid) for nid in trajectory.schedule.node_ids]
     data = np.asarray(trajectory.data, dtype=float)
     times = chain.from_iterable(repeat(t, len(node_ids)) for t in reprs(trajectory.times))
     write_columns(path, ("time", "node_id", "s", "e", "x", "r"),
-                  [times, node_ids * len(data), *(reprs(data[:, c, :].ravel()) for c in range(4))])
+                  [times, chain.from_iterable(repeat(node_ids, len(data))),
+                   *(reprs(data[:, c, :]) for c in range(4))])
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
@@ -388,20 +390,28 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     number, or for a second row of one node and time.
     """
     names = ("time", "node_id", "s", "e", "x", "r")
-    time_cells, node_cells, *value_cells = read_columns(
-        path, names, ValidationError(f"trajectory CSV needs columns {sorted(names)}")
+    index = {}  # node ids in order of first appearance
+
+    def rows(start, time_cells, node_cells, *value_cells):
+        if not start:
+            index.clear()
+        stamps, *values = numbers(path, [time_cells, *value_cells],
+                                  ("time", "s", "e", "x", "r"), start)
+        return stamps, numbered(node_cells, index), *values
+
+    stamps, node, *values = read_columns(
+        path, names, ValidationError(f"trajectory CSV needs columns {sorted(names)}"), rows
     )
-    if not len(node_cells):
+    if not len(node):
         raise ValidationError("trajectory CSV is empty")
-    stamps, *values = numbers(path, [time_cells, *value_cells], ("time", "s", "e", "x", "r"))
-    node_ids = distinct(node_cells)
-    node = indices(node_cells, {nid: i for i, nid in enumerate(node_ids)})
+    node_ids = tuple(index)
     times, slot = np.unique(stamps, return_inverse=True)
     if len(node) > len(times) * len(node_ids):  # else a repeat leaves a pair missing
         raise_first(path, [(repeated(slot * len(node_ids) + node), lambda k, where: ParseError(
-            f"{where}: duplicate entry for {text(node_cells[k])!r} at time {float(stamps[k])!r}"))])
+            f"{where}: duplicate entry for {node_ids[node[k]]!r} at time {float(stamps[k])!r}"))])
     data = np.full((len(times), 4, len(node_ids)), np.nan)
-    data[slot, :, node] = np.stack(values, axis=1)
+    for c, column in enumerate(values):
+        data[slot, c, node] = column
     if math.isnan(data.min()):  # a node/time pair with no row
         raise ValidationError("trajectory CSV is missing node/time rows")
     return times, node_ids, data

@@ -280,11 +280,11 @@ def read_params_csv(path) -> tuple[tuple[str, ...], EpidemicParams]:
     (extra columns are ignored); ParseError names ``path:line`` of a rate
     that is not a finite number, or of a node id given twice."""
     rates = ("beta", "sigma", "delta", "alpha")
-    node_ids, *cells = read_columns(
+    node_ids, beta, sigma, delta, alpha = read_columns(
         path, ("node_id", *rates),
         ValidationError(f"params CSV needs columns {sorted(('node_id', *rates))}"),
+        lambda start, ids, *cells: (ids, *numbers(path, cells, rates, start)),
     )
-    beta, sigma, delta, alpha = numbers(path, cells, rates)
     raise_first(path, [(repeated(node_ids), lambda k, where: ParseError(
         f"{where}: duplicate node_id {text(node_ids[k])!r}"))])
     if not len(node_ids):

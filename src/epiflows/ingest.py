@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import decode, distinct, indices, raise_first, read_columns, repeated, text
+from ._csvio import (decode, distinct, indices, numbered, raise_first, read_columns,
+                     repeated_across, text)
 from .errors import (
     CasesExceedPopulation,
     EmptySchedule,
@@ -80,6 +81,9 @@ class StateInferenceConfig:
                 raise ValidationError(f"{name} must be a positive integer")
 
 
+_DAYS = datetime.date.max.toordinal() + 1  # above every ordinal _ordinal gives
+
+
 def _ordinal(text: str) -> int:
     return datetime.date.fromisoformat(text).toordinal()
 
@@ -90,13 +94,22 @@ def _header_error(path, names) -> ParseError:
 
 def load_populations(path) -> tuple[tuple[str, ...], np.ndarray]:
     names = ("node_id", "population")
-    ids, cells = read_columns(path, names, _header_error(path, names))
-    pops, bad = decode(cells)
-    raise_first(path, [
-        (repeated(ids), lambda k, where: ParseError(f"{where}: duplicate node_id {text(ids[k])!r}")),
-        (bad, lambda k, where: ParseError(f"{where}: bad population {text(cells[k])!r}")),
-        (pops <= 0, lambda k, where: NonPositivePopulation(f"{where}: population must be positive")),
-    ])
+    seen = []  # the id cells of the blocks read so far
+
+    def rows(start, ids, cells):
+        if not start:
+            seen.clear()
+        pops, bad = decode(cells)
+        raise_first(path, [
+            (repeated_across(ids, seen), lambda k, where: ParseError(
+                f"{where}: duplicate node_id {text(ids[k])!r}")),
+            (bad, lambda k, where: ParseError(f"{where}: bad population {text(cells[k])!r}")),
+            (pops <= 0, lambda k, where: NonPositivePopulation(
+                f"{where}: population must be positive")),
+        ], start)
+        return ids, pops
+
+    ids, pops = read_columns(path, names, _header_error(path, names), rows)
     if not len(ids):
         raise ParseError(f"{path}: no data rows")
     return distinct(ids), pops
@@ -107,21 +120,25 @@ def _window_sums(path, node_ids, aggregation_days: int) -> tuple[np.ndarray, np.
     skipped, and the length of each window in days."""
     index = {nid: i for i, nid in enumerate(node_ids)}
     names = ("date", "from_id", "to_id", "trips")
-    dates, froms, tos, cells = read_columns(path, names, _header_error(path, names))
-    day, bad_date = decode(dates, _ordinal, np.int64)
-    src, dst = indices(froms, index), indices(tos, index)
-    trips, bad_trips = decode(cells)
-    raise_first(path, [
-        (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {text(dates[k])!r}")),
-        (src < 0, lambda k, where: UnknownNode(f"{where}: unknown node {text(froms[k])!r}")),
-        (dst < 0, lambda k, where: UnknownNode(f"{where}: unknown node {text(tos[k])!r}")),
-        (bad_trips, lambda k, where: ParseError(f"{where}: bad trips value {text(cells[k])!r}")),
-        (trips < 0, lambda k, where: ParseError(f"{where}: trips must be nonnegative")),
-    ])
-    travel = src != dst
-    if not travel.any():
+
+    def rows(start, dates, froms, tos, cells):
+        day, bad_date = decode(dates, _ordinal, np.int64)
+        src, dst = indices(froms, index), indices(tos, index)
+        trips, bad_trips = decode(cells)
+        raise_first(path, [
+            (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {text(dates[k])!r}")),
+            (src < 0, lambda k, where: UnknownNode(f"{where}: unknown node {text(froms[k])!r}")),
+            (dst < 0, lambda k, where: UnknownNode(f"{where}: unknown node {text(tos[k])!r}")),
+            (bad_trips, lambda k, where: ParseError(
+                f"{where}: bad trips value {text(cells[k])!r}")),
+            (trips < 0, lambda k, where: ParseError(f"{where}: trips must be nonnegative")),
+        ], start)
+        travel = src != dst
+        return day[travel], src[travel], dst[travel], trips[travel]
+
+    day, src, dst, trips = read_columns(path, names, _header_error(path, names), rows)
+    if not len(day):
         raise EmptySchedule(f"{path}: no usable flow rows")
-    day, src, dst, trips = day[travel], src[travel], dst[travel], trips[travel]
     first, last = day.min(), day.max()
     n, n_windows = len(node_ids), (last - first) // aggregation_days + 1
     window = (day - first) // aggregation_days
@@ -159,20 +176,29 @@ def load_flows(
 
 def load_cases(path) -> CaseSeries:
     names = ("node_id", "date", "cumulative_cases")
-    ids, dates, cells = read_columns(path, names, _header_error(path, names))
-    day, bad_date = decode(dates, _ordinal, np.int64)
-    counts, bad_count = decode(cells)
-    node_ids = distinct(ids)
-    node = indices(ids, {nid: i for i, nid in enumerate(node_ids)})
-    raise_first(path, [
-        (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {text(dates[k])!r}")),
-        (bad_count, lambda k, where: ParseError(f"{where}: bad case count {text(cells[k])!r}")),
-        # one integer per (node, day) pair
-        (repeated(node * (np.max(day, initial=0) + 1) + day), lambda k, where: ParseError(
-            f"{where}: duplicate entry for {text(ids[k])!r} on "
-            f"{datetime.date.fromordinal(int(day[k]))}")),
-    ])
-    if not len(ids):
+    index, seen = {}, []  # node ids, and the (node, day) keys of the blocks so far
+
+    def rows(start, ids, dates, cells):
+        if not start:
+            index.clear()
+            seen.clear()
+        day, bad_date = decode(dates, _ordinal, np.int64)
+        counts, bad_count = decode(cells)
+        node = numbered(ids, index)
+        raise_first(path, [
+            (bad_date, lambda k, where: ParseError(f"{where}: bad ISO date {text(dates[k])!r}")),
+            (bad_count, lambda k, where: ParseError(
+                f"{where}: bad case count {text(cells[k])!r}")),
+            # one integer per (node, day) pair
+            (repeated_across(node * _DAYS + day, seen), lambda k, where: ParseError(
+                f"{where}: duplicate entry for {text(ids[k])!r} on "
+                f"{datetime.date.fromordinal(int(day[k]))}")),
+        ], start)
+        return node, day, counts
+
+    node, day, counts = read_columns(path, names, _header_error(path, names), rows)
+    node_ids = tuple(index)
+    if not len(node):
         raise ParseError(f"{path}: no data rows")
     days, slot = np.unique(day, return_inverse=True)
     present = np.zeros((len(node_ids), len(days)), dtype=bool)

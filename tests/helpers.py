@@ -6,6 +6,7 @@ import dataclasses
 import datetime
 import heapq
 import math
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -723,3 +724,19 @@ def write_gravity_trips(path, network, seed, days=7, start="2021-01-04"):
             counts = rng.poisson(network.flows[dst, src])
             fh.writelines(f"{day},{ids[src[j]]},{ids[dst[j]]},{counts[j]}\n"
                           for j in np.nonzero(counts)[0])
+
+
+def traced_peak(call):
+    """(call(), the most bytes that tracemalloc saw allocated during the
+    call beyond those allocated when it began)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

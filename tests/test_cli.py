@@ -350,6 +350,29 @@ def test_non_finite_observation_time_exits_2(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+class TestReportWindow:
+    """stability and distance report on the schedule's first window and say so."""
+
+    def test_first_of_two_windows_is_named(self, tmp_path):
+        net, params = five_node_system()
+        paths = dump_system_csvs(tmp_path, net, params)
+        text = paths["flows"].read_text()
+        week_later = text.split("\n", 1)[1].replace("2020-03-01", "2020-03-08")
+        paths["flows"].write_text(text + week_later)
+        files = ["--populations", str(paths["populations"]), "--flows", str(paths["flows"])]
+        assert run("stability", *files, "--params", str(paths["params"]), "--endemic",
+                   "--out-dir", str(tmp_path)) == 0
+        assert run("distance", *files, "--source", "n1", "--out-dir", str(tmp_path)) == 0
+        window = {"index": 0, "start": 0.0, "end": 7.0, "of": 2}
+        for report in ("stability.json", "endemic.json", "distances.json"):
+            assert read_json(tmp_path / report)["window"] == window
+
+    def test_static_network_window_is_unbounded(self, tmp_path):
+        assert run("stability", "--demo", "five-node", "--out-dir", str(tmp_path)) == 0
+        assert read_json(tmp_path / "stability.json")["window"] == {
+            "index": 0, "start": 0.0, "end": None, "of": 1}
+
+
 class TestDistance:
     def test_source_distances(self, tmp_path):
         code = run("distance", "--demo", "five-node", "--source", "n1",

@@ -432,11 +432,17 @@ class TestDenseBuilders:
 class TestSpectrumProperties:
     @PROPERTY_SETTINGS
     @given(balanced_systems(), st.floats(-0.9, 1.0, exclude_min=True, exclude_max=True))
-    def test_classification_never_flips_under_balanced_perturbation(self, system, c):
+    def test_shared_rates_keep_the_class_under_travel_scaling(self, system, c):
+        # with one rate set at every node s(U) = s(R) whatever c is (see
+        # TestTravelScaling::test_equal_rates_keep_s_of_u); with rates drawn
+        # per node the class can flip (test_unequal_rates_can_flip_...)
         (net,), params, _ = system
-        before = classify_healthy(params, net).classification
-        after = classify_healthy(params, perturb_flows_balanced(net, c * net.gamma))
-        assert after.classification == before
+        shared = EpidemicParams(**{name: np.full(net.n, getattr(params, name)[0])
+                                   for name in ("alpha", "beta", "sigma", "delta")})
+        before = classify_healthy(shared, net)
+        after = classify_healthy(shared, perturb_flows_balanced(net, c * net.gamma))
+        assert after.classification == before.classification
+        assert abs(after.s_of_U - before.s_of_U) <= 1e-12
 
     @PROPERTY_SETTINGS
     @given(balanced_systems())
