@@ -1,20 +1,16 @@
 """Column-wise CSV reading and writing shared by every CSV file.
 
-A file is read as a stream of line-aligned blocks of about ``_BLOCK`` bytes,
-and each block is decoded before the next is read, so reading holds the
-caller's parsed arrays plus one block's text, never a whole-file column,
-offset array or byte mask. When a block holds no ``"``, no lone ``\\r`` and
-no byte that is not UTF-8 text, and each of its non-blank rows has the
-header's field count, numpy finds the ``,`` and ``\\n`` bytes and gathers
-each needed column's cells straight into a bytes (``S``) array. A file with
-any other block (quoted cells, short or long rows) is read again whole
-through ``csv.reader``, whose cells are packed into the same arrays, so both
-paths give identical columns and hence identical values and errors. A
-stream that cannot seek back, such as a pipe, is held whole in memory for
-that reason. A leading UTF-8 byte-order mark is skipped; a byte that is not
-UTF-8 text (or is NUL) is a ParseError. Messages name ``path:line``,
-counting the header as line 1 and skipping blank lines as ``csv.DictReader``
-does.
+A file is read in one forward pass, as line-aligned blocks of about
+``_BLOCK`` bytes, each decoded before the next is read, so reading holds the
+caller's parsed arrays plus one block's text. While a block holds no ``"``,
+no lone ``\\r`` and no byte that is not UTF-8 text, and its rows have the
+header's field count, numpy gathers each needed column's cells straight into
+a bytes (``S``) array. From the first other block on, one ``csv.reader``
+reads the rest of the stream into the same arrays, so both paths give
+identical values and errors. A byte that is not UTF-8 text (or is NUL) is a
+ParseError; a leading UTF-8 byte-order mark is skipped. Messages name
+``path:line``, counting the header as line 1 and skipping blank lines as
+``csv.DictReader`` does.
 
 Files are written a column at a time, with the bytes ``csv.writer`` gives:
 minimal quoting, ``\\r\\n`` line ends, and numbers as their ``repr``,
@@ -27,7 +23,7 @@ import csv
 import io
 import math
 import re
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -37,7 +33,7 @@ from .errors import EpiflowsError, ParseError
 # keeps holes about the size of one block's temporaries, and 1 MiB blocks
 # left 3-5 MB more resident than these
 _BLOCK = 1 << 19
-_ROWS = 1 << 13  # values formatted per block when writing
+_ROWS = 1 << 13  # values formatted at a time; cells a csv.reader batch holds, bytes it is fed
 _PAD = 8  # zero bytes after the text, so every cell start has 8 bytes to load
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)] + [2**64 - 1], "<u8")
 _MISSING = b"\xff"  # a short row's missing cell; UTF-8 text never holds this byte
@@ -47,52 +43,44 @@ _WIDE = 4  # an S column may take this many times the file's bytes, else object
 
 def read_columns(path, names, header_error: Exception, rows) -> list[np.ndarray]:
     """The named columns (found by header name: extra columns and any order
-    are fine), decoded a block at a time by ``rows(start, *cells)``.
-
-    ``cells`` are the block's cells of each column as arrays of bytes, a
-    short row's missing cells reading as ``_MISSING``, and ``start`` is the
-    number of data rows before the block. ``rows`` returns a tuple of
-    arrays, one row each, which are joined across blocks, or raises the
-    EpiflowsError of its earliest bad row; that error is raised once the
-    rest of the file is known to need no ``csv.reader``. A file that does is
-    passed to ``rows`` whole, at start 0, so state that ``rows`` keeps
-    across blocks starts over at 0.
-    """
+    are fine), read in one pass and decoded by ``rows(start, *cells)`` a part
+    at a time: each column's cells as bytes (``_MISSING`` for a short row's),
+    after ``start`` data rows. ``rows`` returns arrays, one row each, joined
+    across parts, or raises the EpiflowsError of its earliest bad row, which
+    is raised at the end of the file unless ``_read_rows`` raises first."""
+    out, size, start, error = None, 0, 0, None
     with open(path, "rb") as fh:
-        stream = fh if fh.seekable() else io.BytesIO(fh.read())
-        out, size, start, error = None, 0, 0, None
-        for block in _blocks(stream):
+        blocks = _blocks(fh)
+        for block in blocks:
             try:
                 columns = None if _needs_reader(block) else _split(block, names, header_error)
-                if columns is None:
-                    break
-                if error is None:
-                    part = rows(start, *columns)
-                    out = _append(out, size, part)
-                    size, start = size + len(part[0]), start + len(columns[0])
-            except EpiflowsError as exc:
-                error = error or exc
-        else:
-            if error is not None:
-                raise error
-            for column in out:
-                if len(column) > size:  # grown by _append, so it owns its data
-                    column.resize(size, refcheck=False)
-            return out
-        stream.seek(0)
-        data = stream.read()
-    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    data = b"".join((memoryview(data)[bom:], bytes(_PAD)))
-    if not data.isascii() or data.find(b"\0", 0, -_PAD) >= 0:
-        _check_text(path, data)
-    return list(rows(0, *_read_rows(path, data, names, header_error)))
+            except EpiflowsError:  # a bad header, which csv.reader reports after a bad byte
+                columns = None
+            # from the first block that numpy refuses, csv.reader reads every block left
+            for columns in [columns] if columns else _read_rows(
+                    path, block, blocks, names, header_error, start):
+                if error is None and len(columns[0]):
+                    try:
+                        part = rows(start, *columns)
+                        out, size = _append(out, size, part), size + len(part[0])
+                    except EpiflowsError as exc:
+                        error = exc
+                start += len(columns[0])
+    if error is not None:
+        raise error
+    if out is None:  # no data rows
+        return list(rows(0, *columns))
+    for column in out:
+        if len(column) > size:  # grown by _append, so it owns its data
+            column.resize(size, refcheck=False)
+    return out
 
 
 def _append(out, size: int, part) -> list[np.ndarray]:
     """The arrays ``out``, filled to row ``size``, with the arrays ``part``
     written after them. An array too short or too narrow for its part is
-    replaced by one of twice the length, so no list of parts is kept and
-    the long-lived rows do not sit between one block's freed temporaries."""
+    replaced by one of the next power-of-two length, however the rows came
+    in parts; no list of parts is kept to sit among freed temporaries."""
     if out is None:
         return list(part)
     need = size + len(part[0])
@@ -100,7 +88,7 @@ def _append(out, size: int, part) -> list[np.ndarray]:
     for column, cells in zip(out, part):
         dtype = np.result_type(column, cells)
         if need > len(column) or dtype != column.dtype:
-            wider = np.empty(max(need, 2 * len(column)), dtype)
+            wider = np.empty(max(len(column), 1 << (need - 1).bit_length()), dtype)
             wider[:size] = column[:size]
             column = wider
         column[size:need] = cells
@@ -132,7 +120,7 @@ def _blocks(stream):
 
 def _needs_reader(block: bytes) -> bool:
     """Whether the block holds a quote, a NUL or a byte that is not UTF-8,
-    which only the whole-file ``csv.reader`` path reads or reports."""
+    which only the ``csv.reader`` path reads or reports."""
     if b'"' in block or block.find(b"\0", 0, -_PAD) >= 0:
         return True
     if block.isascii():
@@ -142,19 +130,6 @@ def _needs_reader(block: bytes) -> bool:
     except UnicodeDecodeError:
         return True
     return False
-
-
-def _check_text(path, data: bytes) -> None:
-    """ParseError naming the row of the first byte that is NUL or not UTF-8."""
-    content = data[:-_PAD].decode(errors="surrogateescape")
-    if _NOT_TEXT.search(content) is None:
-        return
-    for line, row in enumerate(filter(None, csv.reader(io.StringIO(content, newline=""))), 1):
-        for cell in row:
-            found = _NOT_TEXT.search(cell)
-            if found:
-                raise ParseError(f"{path}:{line}: byte 0x{ord(found.group()) & 0xFF:02x} "
-                                 "is not UTF-8 text")
 
 
 def _lines(u8: np.ndarray, size: int):
@@ -232,36 +207,68 @@ def _gather(cells: np.ndarray, start: np.ndarray, stop: np.ndarray, size: int):
     return out.view(f"S{out.itemsize * out.shape[1]}").ravel()
 
 
-def _read_rows(path, data: bytes, names, header_error) -> list[np.ndarray]:
-    """read_columns by ``csv.reader``, for quoted or ragged files."""
-    reader = csv.reader(io.StringIO(data[:-_PAD].decode(), newline=""))
-    header = next(reader, None)
-    if header is None or not set(names).issubset(header):
-        raise header_error
-    position = {name: k for k, name in enumerate(header)}  # a repeated name: its last column
-    columns = [[] for _ in names]
-    cells = [(column.append, position[name]) for column, name in zip(columns, names)]
-    width = max(position[name] for name in names) + 1
+def _read_rows(path, block, blocks, names, header_error, start: int):
+    """The columns of ``block`` (led by the header, after ``start`` data rows)
+    and of the blocks left, by one csv.reader, ``_ROWS`` cells at a time. A bad
+    byte raises at once; a bad header, else an oversize cell, at the end."""
+    cut = block.find(b"\n") + 1  # the header line, which every later block repeats
+    size, dirty = 0, False
+
+    def texts():  # whole lines, _ROWS bytes or so at a time: StringIO keeps 4 bytes a char
+        nonlocal size, dirty
+        for k, data in enumerate(chain([block], blocks)):
+            at, stop = cut if k else 0, len(data) - _PAD
+            size += stop - at  # the bytes csv.reader was given
+            while at < stop:
+                end = data.find(b"\n", at + _ROWS, stop) + 1 or stop
+                text = str(memoryview(data)[at:end], "utf-8", "surrogateescape")
+                dirty |= "\0" in text or not text.isascii() and bool(_NOT_TEXT.search(text))
+                yield io.StringIO(text, newline="")
+                at = end
+
+    reader = csv.reader(chain.from_iterable(texts()))
     try:
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                row += [None] * (width - len(row))
-            for append, k in cells:
-                append(row[k])
-    except csv.Error as exc:  # a cell over csv.field_size_limit()
-        raise ParseError(f"{path}:{len(columns[0]) + 2}: {exc}") from exc
-    return [_column(column, len(data) - _PAD) for column in columns]
+        header = next(reader, [])
+    except csv.Error:  # a header cell over the field limit: a bad header on line 1
+        header = [""]
+    if dirty:
+        _check_text(path, [header], 1)
+    error = None if set(names).issubset(header) else header_error
+    position = {name: k for k, name in enumerate(header)}  # a repeated name: its last column
+    picks = [position.get(name, 0) for name in names]  # column 0 under a bad header
+    count = max(1, _ROWS // max(1, len(header)))  # rows per batch
+    first, read = start + 1 + bool(header), 0  # line of the first row (a blank header is none)
+    records, batch, more = map(tuple, reader), [], True  # tuples, soon untracked by gc
+    while more:
+        try:
+            for row in islice(records, count - len(batch)):
+                batch.append(row)
+        except csv.Error as exc:  # csv.reader goes on with the next line
+            error = error or ParseError(f"{path}:{first + read + sum(map(bool, batch))}: {exc}")
+            batch.append(("",))  # the refused row still counts as a line
+            continue
+        rows, more, batch = list(filter(None, batch)), len(batch) == count, []
+        if dirty:
+            _check_text(path, rows, first + read)
+        read += len(rows)
+        if error is None:
+            columns = []
+            for k in picks:  # as _split would gather them, a short row's missing cell _MISSING
+                cells = [row[k].encode() if k < len(row) else _MISSING for row in rows]
+                longest = max(map(len, cells), default=0)
+                wide = _too_wide(longest, read, size)  # judged over all the rows read so far
+                columns.append(np.array(cells, object if wide else f"S{8 * _words(longest)}"))
+            rows = None  # let the batch's rows go before the caller decodes its cells
+            yield columns
+    if error is not None:
+        raise error
 
 
-def _column(cells: list, size: int) -> np.ndarray:
-    """Text cells (None for missing) as the array _split would gather."""
-    encoded = [_MISSING if cell is None else cell.encode() for cell in cells]
-    longest = max(map(len, encoded), default=0)
-    if _too_wide(longest, len(encoded), size):
-        return np.array(encoded, dtype=object)
-    return np.array(encoded, dtype=f"S{8 * _words(longest)}")
+def _check_text(path, rows, line: int) -> None:
+    """ParseError naming the row of the first NUL or non-UTF-8 byte, rows[0] on ``line``."""
+    for line, row in enumerate(rows, line):
+        if found := _NOT_TEXT.search(",".join(row)):
+            raise ParseError(f"{path}:{line}: byte 0x{ord(found[0]) & 0xFF:02x} is not UTF-8 text")
 
 
 def text(cell) -> str | None:
@@ -289,8 +296,8 @@ def _keys(column: np.ndarray) -> np.ndarray:
 
 
 def _cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, inverse) with column == cells[inverse]: each distinct
-    one-word cell once, else one entry per run of equal cells."""
+    """(cells, inverse) with column == cells[inverse], each distinct cell
+    once: one-word cells sorted as u64, wider ones by their runs' heads."""
     keys = _keys(column)
     if keys.dtype == np.uint64:
         cells, inverse = np.unique(keys, return_inverse=True)
@@ -298,7 +305,8 @@ def _cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     change = np.ones(len(keys), dtype=bool)
     change[1:] = keys[1:] != keys[:-1]
     runs = np.flatnonzero(change)
-    return column[runs], np.repeat(np.arange(len(runs)), np.diff(runs, append=len(column)))
+    cells, inverse = np.unique(column[runs], return_inverse=True)
+    return cells, np.repeat(inverse, np.diff(runs, append=len(column)))
 
 
 def decode(column, convert=float, dtype=float) -> tuple[np.ndarray, np.ndarray]:

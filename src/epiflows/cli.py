@@ -141,12 +141,12 @@ def _load_system(args, need_params: bool = True):
     return schedule, params
 
 
-def _first_window(schedule: NetworkSchedule) -> dict:
-    """The window a report on one network used: the schedule's first, of
-    how many; an end of None is an unbounded (static) window."""
-    span = schedule.periods[0][0]
-    return {"index": 0, "start": 0.0, "end": span if math.isfinite(span) else None,
-            "of": len(schedule.periods)}
+def _report_window(schedule: NetworkSchedule) -> tuple:
+    """The network in force at t = 0 and the ``"window"`` a report on it
+    names: the schedule's first, of how many; an end of None is unbounded."""
+    span, network = schedule.periods[0]
+    return network, {"index": 0, "start": 0.0, "end": span if math.isfinite(span) else None,
+                     "of": len(schedule.periods)}
 
 
 def _initial_state(args, schedule: NetworkSchedule) -> SystemState:
@@ -159,7 +159,7 @@ def _initial_state(args, schedule: NetworkSchedule) -> SystemState:
         return SystemState.healthy(n)
     if args.seed_node is None:
         raise ValidationError("--initial seeded requires --seed-node")
-    origin = schedule.periods[0][1].node_index(args.seed_node)
+    origin = _report_window(schedule)[0].node_index(args.seed_node)
     return demo.seeded_initial_state(n, origin, args.seed_exposed)
 
 
@@ -177,7 +177,7 @@ def _load_observations(args) -> tuple[ObservationSeries, CaseSeries | None]:
     cases = load_cases(args.cases)
     if cases.node_ids != schedule.node_ids:
         raise ValidationError("case-series nodes do not match the network nodes")
-    return infer_states(cases, schedule.periods[0][1].populations, schedule=schedule), cases
+    return infer_states(cases, _report_window(schedule)[0].populations, schedule=schedule), cases
 
 
 # ---------------------------------------------------------------- commands
@@ -213,12 +213,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_stability(args) -> int:
     schedule, params = _load_system(args)
-    network = schedule.periods[0][1]
+    network, window = _report_window(schedule)
     report = classify_healthy(params, network, marginal_band=args.marginal_band)
-    payload = report.to_dict()
-    payload["uniqueness_condition"] = uniqueness_condition(params, network)
-    payload["strongly_connected"] = is_strongly_connected(network)
-    payload["window"] = window = _first_window(schedule)
+    payload = report.to_dict() | {
+        "uniqueness_condition": uniqueness_condition(params, network),
+        "strongly_connected": is_strongly_connected(network), "window": window}
     if args.perturb_scale is not None:
         after, drift = _classify_perturbed(report, params, network,
                                            args.perturb_scale * network.gamma)
@@ -257,7 +256,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_distance(args) -> int:
     schedule, _ = _load_system(args, need_params=False)
-    network = schedule.periods[0][1]
+    network, window = _report_window(schedule)
     node_ids = network.node_ids
     if bool(args.source) == bool(args.infected):
         raise ValidationError("provide exactly one of --source or --infected")
@@ -274,7 +273,7 @@ def cmd_distance(args) -> int:
     _write_json(_out(args, "distances.json"), label | {
         "distances": {node_ids[i]: (float(dist[i]) if np.isfinite(dist[i]) else None)
                       for i in range(network.n)},
-        "window": _first_window(schedule)})
+        "window": window})
     print(f"wrote {_out(args, 'distances.csv')}")
     return EXIT_OK
 
@@ -303,7 +302,7 @@ def cmd_predict(args) -> int:
         raise InsufficientArrivals(f"only {len(arrivals)} node(s) ever crossed the threshold")
 
     if args.origin:
-        origin = schedule.periods[0][1].node_index(args.origin)
+        origin = _report_window(schedule)[0].node_index(args.origin)
     else:
         origin = arrivals[0].node
     origin_net = schedule.network_at(arrivals[0].arrival_time, clamp=True)

@@ -393,8 +393,6 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     index = {}  # node ids in order of first appearance
 
     def rows(start, time_cells, node_cells, *value_cells):
-        if not start:
-            index.clear()
         stamps, *values = numbers(path, [time_cells, *value_cells],
                                   ("time", "s", "e", "x", "r"), start)
         return stamps, numbered(node_cells, index), *values

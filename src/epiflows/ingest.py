@@ -97,8 +97,6 @@ def load_populations(path) -> tuple[tuple[str, ...], np.ndarray]:
     seen = []  # the id cells of the blocks read so far
 
     def rows(start, ids, cells):
-        if not start:
-            seen.clear()
         pops, bad = decode(cells)
         raise_first(path, [
             (repeated_across(ids, seen), lambda k, where: ParseError(
@@ -179,9 +177,6 @@ def load_cases(path) -> CaseSeries:
     index, seen = {}, []  # node ids, and the (node, day) keys of the blocks so far
 
     def rows(start, ids, dates, cells):
-        if not start:
-            index.clear()
-            seen.clear()
         day, bad_date = decode(dates, _ordinal, np.int64)
         counts, bad_count = decode(cells)
         node = numbered(ids, index)

@@ -21,6 +21,7 @@ from epiflows import (
     build_network,
     sliding_window_predict,
 )
+from epiflows._csvio import cell
 from epiflows.dynamics import _check_simplex, _Kernel, _settle_onto_simplex
 from epiflows.errors import (
     DimensionMismatch,
@@ -714,7 +715,7 @@ def write_gravity_trips(path, network, seed, days=7, start="2021-01-04"):
     """Daily trip counts drawn Poisson around a network's flows, zero counts
     left out, as a flows CSV; the raw weekly sums are not balanced."""
     rng = np.random.default_rng(seed)
-    ids = network.node_ids
+    ids = [cell(nid) for nid in network.node_ids]  # quoted where csv.writer would
     dst, src = np.nonzero(network.flows)
     first = datetime.date.fromisoformat(start)
     with open(path, "w") as fh:

@@ -264,10 +264,12 @@ def flow_records(ids):
 
 
 def both_paths(data, names):
-    """read_columns' two paths on one file's bytes: (numpy, csv.reader)."""
+    """read_columns' two paths on one file's bytes, as one block: (numpy,
+    csv.reader's batches joined)."""
     data += bytes(_csvio._PAD)
-    return _csvio._split(data, names, ParseError("header")), _csvio._read_rows(
-        "file", data, names, ParseError("header"))
+    batches = _csvio._read_rows("file", data, iter(()), names, ParseError("header"), 0)
+    return (_csvio._split(data, names, ParseError("header")),
+            [np.concatenate(cells) for cells in zip(*batches)])
 
 
 def plain_flow_file_matches_row_loop(tmp_path_factory, data, days):
@@ -627,6 +629,29 @@ def test_cell_over_csv_field_limit_names_its_line(tmp_path, quoted):
         load_populations(populations)
 
 
+def test_header_cell_over_the_field_limit_is_a_bad_header(tmp_path):
+    populations = tmp_path / "pop.csv"
+    populations.write_bytes(b'"' + b"n" * 200_000 + b'",population\n' + POPULATIONS.encode())
+    with pytest.raises(ParseError, match=r"pop\.csv: expected header with columns"):
+        load_populations(populations)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_bad_byte_after_a_cell_over_the_field_limit_exits_2(tmp_path, quoted):
+    # csv.reader goes on after refusing the long cell, so the byte is found
+    long = b"a" * 200_000
+    populations = tmp_path / "pop.csv"
+    populations.write_bytes(b"node_id,population\n" + (b'"%s"' % long if quoted else long)
+                            + b",1000\nb\xff,1000\nc,1000\n")
+    (tmp_path / "flows.csv").write_text("\n".join(GOOD_FLOWS) + "\n")
+    result = run_cli(tmp_path, "validate-data", "--populations", str(populations),
+                     "--flows", str(tmp_path / "flows.csv"))
+    assert_json_error_at(result, populations, 3)
+    error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+    assert error == {"type": "ParseError",
+                     "message": f"{populations}:3: byte 0xff is not UTF-8 text"}
+
+
 @pytest.mark.parametrize("quoted", [False, True])
 def test_utf8_byte_order_mark_is_skipped(tmp_path, quoted):
     populations = tmp_path / "pop.csv"
@@ -829,6 +854,65 @@ def test_block_boundaries_change_nothing(tmp_path, monkeypatch, name):
         assert_same(outcome(lambda: reader(path)), want)
 
 
+def spied_rows(path, names):
+    """read_columns with a ``rows`` that returns its cells unchanged: (the
+    (start, row count) of every call, the joined columns)."""
+    calls = []
+
+    def rows(start, *cells):
+        calls.append((start, len(cells[0])))
+        return cells
+
+    return calls, _csvio.read_columns(path, names, ParseError("header"), rows)
+
+
+@pytest.mark.parametrize("block, count", [(None, 60_000), (40, 60)])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_rows_sees_each_row_once_in_order(tmp_path, monkeypatch, block, count, where):
+    # one quoted cell hands that block and the rest of the file to csv.reader
+    if block is not None:
+        monkeypatch.setattr(_csvio, "_BLOCK", block)
+    quoted = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+    lines = [f"2020-03-{1 + k % 19:02d},a,g,{k}" for k in range(count)]
+    lines[quoted] = lines[quoted].replace(",g,", ',"g",')
+    path = tmp_path / "flows.csv"
+    path.write_text("date,from_id,to_id,trips\n" + "\n".join(lines) + "\n")
+    assert path.stat().st_size > 2 * _csvio._BLOCK  # three blocks or more
+    names = ("trips", "to_id")
+    calls, columns = spied_rows(path, names)
+    starts = [start for start, _ in calls]
+    assert starts == sorted(set(starts)) and all(size for _, size in calls)
+    assert starts == [sum(size for _, size in calls[:k]) for k in range(len(calls))]
+    assert [[_csvio.text(cell) for cell in column.tolist()] for column in columns] == [
+        [str(k) for k in range(count)], ["g"] * count]
+
+
+def test_long_cell_alone_in_the_last_batch_is_not_padded_into_every_row(tmp_path):
+    # csv.reader takes 8192 cells, so 4096 two-cell rows, a batch: the last
+    # batch holds only the long cell, which is judged over every row read
+    path = tmp_path / "pop.csv"
+    path.write_bytes(b"node_id,population\n" + b"".join(
+        b'"n%d",1\n' % k for k in range(_csvio._ROWS // 2)) + b"y" * 4096 + b",1\n")
+    calls, (ids, _) = spied_rows(path, ("node_id", "population"))
+    assert [size for _, size in calls] == [_csvio._ROWS // 2, 1]
+    assert ids.dtype == object and ids[-1] == b"y" * 4096
+
+
+def test_wide_cells_convert_once_per_distinct_cell():
+    # ISO dates (10 bytes) of a node-major cases file: no two neighbours equal
+    dates = [f"2020-03-{d:02d}" for d in range(1, 8)]
+    column = np.array([d.encode() for _ in range(5) for d in dates])
+    calls = []
+
+    def ordinal(text):
+        calls.append(text)
+        return int(text[-2:])
+
+    values, bad = _csvio.decode(column, ordinal, np.int64)
+    assert sorted(calls) == dates
+    assert values.tolist() == list(range(1, 8)) * 5 and not bad.any()
+
+
 # ----------------------------------------------------------- traced memory
 
 @pytest.fixture(scope="module")
@@ -862,6 +946,40 @@ def test_trajectory_reads_in_less_than_twice_the_file(long_trajectory):
     (times, _, data), peak = traced_peak(lambda: read_trajectory_csv(path))
     assert np.array_equal(times, trajectory.times) and np.array_equal(data, trajectory.data)
     assert peak < 2.0 * os.path.getsize(path)
+
+
+def test_quoted_county_flows_load_in_the_memory_of_plain_ones(tmp_path):
+    # one id holds a comma, so the writer quotes it and csv.reader reads
+    # every block; reading the file again whole held 6.6 times the plain peak
+    network, _, _ = synthetic_county_system(n=87, seed=1)
+    twin = build_network(("c,0000", *network.node_ids[1:]), network.populations,
+                         network.flows)
+    peaks, schedules = [], []
+    for name, system in (("plain.csv", network), ("quoted.csv", twin)):
+        write_gravity_trips(tmp_path / name, system, seed=1, days=84)
+        schedule, peak = traced_peak(lambda: load_flows(tmp_path / name, system.node_ids,
+                                                        system.populations))
+        peaks.append(peak)
+        schedules.append(schedule)
+    assert b'"c,0000"' in (tmp_path / "quoted.csv").read_bytes()[:100]
+    assert all(np.array_equal(a.flows, b.flows)
+               for (_, a), (_, b) in zip(*(s.periods for s in schedules)))
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_quoted_trajectory_reads_in_the_memory_of_a_plain_one(long_trajectory, tmp_path):
+    # every fifth row quotes its id; a whole-file reread held 10.8 times
+    trajectory, path = long_trajectory
+    ids = ("n,1", *trajectory.schedule.node_ids[1:])
+    network = build_network(ids, np.ones(5), np.ones((5, 5)) - np.eye(5))
+    quoted = tmp_path / "quoted.csv"
+    write_trajectory_csv(quoted, Trajectory(trajectory.times, trajectory.data,
+                                            NetworkSchedule.static(network)))
+    _, plain = traced_peak(lambda: read_trajectory_csv(path))
+    (times, got_ids, data), peak = traced_peak(lambda: read_trajectory_csv(quoted))
+    assert got_ids == ids and np.array_equal(times, trajectory.times)
+    assert np.array_equal(data, trajectory.data)
+    assert peak <= 1.25 * plain
 
 
 def test_trajectory_writes_in_less_than_its_data(long_trajectory, tmp_path):
@@ -903,7 +1021,7 @@ def drained(thread, path):
 
 @pytest.mark.parametrize("quoted", [False, True])
 def test_flows_read_from_a_pipe(tmp_path, quoted):
-    # a quoted file goes through csv.reader, which rereads it from the start
+    # a quoted file goes through csv.reader, which reads on from where numpy stopped
     (tmp_path / "pop.csv").write_text(POPULATIONS)
     text = "\n".join(GOOD_FLOWS) + "\n"
     flows = (text.replace(",b,", ',"b",') if quoted else text).encode()
