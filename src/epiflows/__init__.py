@@ -3,128 +3,64 @@
 Simulation (continuous RK4 and discrete Euler), healthy/endemic stability
 analysis, spreading-parameter estimation from observed trajectories, and
 effective-distance arrival-time prediction.
+
+Importing the package loads only ``errors``. Each public name below is
+imported from its home module on first access (PEP 562), so a caller pays
+only for the modules it uses; ``from epiflows import *`` loads them all.
 """
 
+import importlib
+
 from . import errors
-from .dynamics import (
-    EpidemicParams,
-    SystemState,
-    Trajectory,
-    derivative,
-    integrate,
-    read_trajectory_csv,
-    simulate_discrete,
-    step_euler,
-    write_trajectory_csv,
-)
-from .effdist import (
-    ArrivalForecast,
-    ArrivalRecord,
-    DistanceGraph,
-    FullFitResult,
-    InfectedSet,
-    arrival_times,
-    effective_distance_from,
-    full_fit_baseline,
-    group_effective_distance,
-    log_distance_graph,
-    prediction_rms,
-    sliding_window_predict,
-)
-from .estimation import (
-    NodeEstimate,
-    ObservationSeries,
-    ParameterEstimate,
-    build_regression,
-    estimate_all,
-    estimate_node,
-    parameter_rmse,
-    write_estimate_csv,
-)
-from .ingest import (
-    CaseSeries,
-    StateInferenceConfig,
-    infer_states,
-    load_cases,
-    load_flows,
-    load_populations,
-)
-from .network import (
-    FlowNetwork,
-    NetworkSchedule,
-    balance_flows,
-    build_network,
-    check_k_strong,
-    is_strongly_connected,
-    perturb_flows_balanced,
-)
-from .stability import (
-    EndemicSolution,
-    StabilityReport,
-    classify_healthy,
-    eigenvalue_drift_under_perturbation,
-    endemic_existence_indicator,
-    healthy_jacobian,
-    solve_endemic,
-    spectral_abscissa_condition,
-    u_matrix,
-    uniqueness_condition,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrivalForecast",
-    "ArrivalRecord",
-    "CaseSeries",
-    "DistanceGraph",
-    "EndemicSolution",
-    "EpidemicParams",
-    "FlowNetwork",
-    "FullFitResult",
-    "InfectedSet",
-    "NetworkSchedule",
-    "NodeEstimate",
-    "ObservationSeries",
-    "ParameterEstimate",
-    "StabilityReport",
-    "StateInferenceConfig",
-    "SystemState",
-    "Trajectory",
-    "arrival_times",
-    "balance_flows",
-    "build_regression",
-    "build_network",
-    "check_k_strong",
-    "classify_healthy",
-    "derivative",
-    "effective_distance_from",
-    "eigenvalue_drift_under_perturbation",
-    "endemic_existence_indicator",
-    "errors",
-    "estimate_all",
-    "estimate_node",
-    "full_fit_baseline",
-    "group_effective_distance",
-    "healthy_jacobian",
-    "infer_states",
-    "integrate",
-    "is_strongly_connected",
-    "load_cases",
-    "load_flows",
-    "load_populations",
-    "log_distance_graph",
-    "parameter_rmse",
-    "perturb_flows_balanced",
-    "prediction_rms",
-    "read_trajectory_csv",
-    "simulate_discrete",
-    "sliding_window_predict",
-    "solve_endemic",
-    "spectral_abscissa_condition",
-    "step_euler",
-    "u_matrix",
-    "uniqueness_condition",
-    "write_estimate_csv",
-    "write_trajectory_csv",
-]
+_EXPORTS = {
+    "dynamics": (
+        "EpidemicParams", "SystemState", "Trajectory", "derivative", "integrate",
+        "read_trajectory_csv", "simulate_discrete", "step_euler", "write_trajectory_csv",
+    ),
+    "effdist": (
+        "ArrivalForecast", "ArrivalRecord", "DistanceGraph", "FullFitResult", "InfectedSet",
+        "arrival_times", "effective_distance_from", "full_fit_baseline",
+        "group_effective_distance", "log_distance_graph", "prediction_rms",
+        "sliding_window_predict",
+    ),
+    "estimation": (
+        "NodeEstimate", "ObservationSeries", "ParameterEstimate", "build_regression",
+        "estimate_all", "estimate_node", "parameter_rmse", "write_estimate_csv",
+    ),
+    "ingest": (
+        "CaseSeries", "StateInferenceConfig", "infer_states", "load_cases", "load_flows",
+        "load_populations",
+    ),
+    "network": (
+        "FlowNetwork", "NetworkSchedule", "balance_flows", "build_network", "check_k_strong",
+        "is_strongly_connected", "perturb_flows_balanced",
+    ),
+    "stability": (
+        "EndemicSolution", "StabilityReport", "classify_healthy",
+        "eigenvalue_drift_under_perturbation", "endemic_existence_indicator",
+        "healthy_jacobian", "solve_endemic", "spectral_abscissa_condition", "u_matrix",
+        "uniqueness_condition",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["errors", *_HOME]
+
+
+def __getattr__(name: str):
+    """A public name, or a module of ``_EXPORTS``, imported on first access."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -7,10 +7,11 @@ no lone ``\\r`` and no byte that is not UTF-8 text, and its rows have the
 header's field count, numpy gathers each needed column's cells straight into
 a bytes (``S``) array. From the first other block on, one ``csv.reader``
 reads the rest of the stream into the same arrays, so both paths give
-identical values and errors. A byte that is not UTF-8 text (or is NUL) is a
-ParseError; a leading UTF-8 byte-order mark is skipped. Messages name
-``path:line``, counting the header as line 1 and skipping blank lines as
-``csv.DictReader`` does.
+identical values and errors. On either path, a column whose S array would
+take over ``_WIDE`` times the bytes read so far is an object array. A byte
+that is not UTF-8 text (or is NUL) is a ParseError; a leading UTF-8
+byte-order mark is skipped. Messages name ``path:line``, counting the header
+as line 1 and skipping blank lines as ``csv.DictReader`` does.
 
 Files are written a column at a time, with the bytes ``csv.writer`` gives:
 minimal quoting, ``\\r\\n`` line ends, and numbers as their ``repr``,
@@ -48,9 +49,16 @@ def read_columns(path, names, header_error: Exception, rows) -> list[np.ndarray]
     after ``start`` data rows. ``rows`` returns arrays, one row each, joined
     across parts, or raises the EpiflowsError of its earliest bad row, which
     is raised at the end of the file unless ``_read_rows`` raises first."""
-    out, size, start, error = None, 0, 0, None
+    out, size, start, error, read = None, 0, 0, None, 0
+
+    def counted(blocks):  # the blocks, counting their bytes into ``read``
+        nonlocal read
+        for block in blocks:
+            read += len(block) - _PAD
+            yield block
+
     with open(path, "rb") as fh:
-        blocks = _blocks(fh)
+        blocks = counted(_blocks(fh))
         for block in blocks:
             try:
                 columns = None if _needs_reader(block) else _split(block, names, header_error)
@@ -60,6 +68,11 @@ def read_columns(path, names, header_error: Exception, rows) -> list[np.ndarray]
             for columns in [columns] if columns else _read_rows(
                     path, block, blocks, names, header_error, start):
                 if error is None and len(columns[0]):
+                    # an S column is judged over all the rows read so far, as _read_rows
+                    # judges, so one long cell in a late block widens no earlier row
+                    total = start + len(columns[0])
+                    columns = [c.astype(object) if c.dtype.kind == "S" and
+                               _too_wide(c.itemsize, total, read) else c for c in columns]
                     try:
                         part = rows(start, *columns)
                         out, size = _append(out, size, part), size + len(part[0])
@@ -295,6 +308,15 @@ def _keys(column: np.ndarray) -> np.ndarray:
     return column.view("<u8") if column.dtype == "S8" else column
 
 
+def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, inverse) with column == heads[inverse]: the first cell of
+    each run of equal adjacent cells."""
+    change = np.ones(len(column), dtype=bool)
+    change[1:] = column[1:] != column[:-1]
+    runs = np.flatnonzero(change)
+    return column[runs], np.repeat(np.arange(len(runs)), np.diff(runs, append=len(column)))
+
+
 def _cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cells, inverse) with column == cells[inverse], each distinct cell
     once: one-word cells sorted as u64, wider ones by their runs' heads."""
@@ -302,19 +324,19 @@ def _cells(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if keys.dtype == np.uint64:
         cells, inverse = np.unique(keys, return_inverse=True)
         return cells.view("S8"), inverse
-    change = np.ones(len(keys), dtype=bool)
-    change[1:] = keys[1:] != keys[:-1]
-    runs = np.flatnonzero(change)
-    cells, inverse = np.unique(column[runs], return_inverse=True)
-    return cells, np.repeat(inverse, np.diff(runs, append=len(column)))
+    heads, runs = _runs(column)
+    cells, inverse = np.unique(heads, return_inverse=True)
+    return cells, inverse[runs]
 
 
 def decode(column, convert=float, dtype=float) -> tuple[np.ndarray, np.ndarray]:
     """``convert`` of every cell's text, called once per distinct cell (one
     cast when ``convert`` is float and numpy reads every cell), and a mask
     of the cells it rejects with TypeError or ValueError (those read as 0)
-    or turns into nan or inf."""
-    cells, inverse = _cells(column)
+    or turns into nan or inf. Float cells wider than a word are almost all
+    distinct, so they are converted once per run of equal cells, unsorted."""
+    wide = convert is float and _keys(column).dtype != np.uint64
+    cells, inverse = _runs(column) if wide else _cells(column)
     if convert is float:
         try:
             values = cells.astype(float)  # float() of each cell's bytes

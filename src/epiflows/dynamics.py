@@ -16,8 +16,6 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from ._csvio import (cell, numbered, numbers, raise_first, read_columns, repeated, reprs,
-                     write_columns)
 from .errors import (
     DimensionMismatch,
     InvalidState,
@@ -375,6 +373,8 @@ def write_trajectory_csv(path, trajectory: Trajectory) -> None:
     """CSV with columns time, node_id, s, e, x, r (one row per node and time),
     built column-wise: each time's cell is formatted once for all nodes, and
     each compartment's cells a block of samples at a time."""
+    from ._csvio import cell, reprs, write_columns
+
     node_ids = [cell(nid) for nid in trajectory.schedule.node_ids]
     data = np.asarray(trajectory.data, dtype=float)
     times = chain.from_iterable(repeat(t, len(node_ids)) for t in reprs(trajectory.times))
@@ -389,6 +389,8 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     Raises ParseError naming ``path:line`` for a cell that is not a finite
     number, or for a second row of one node and time.
     """
+    from ._csvio import numbered, numbers, raise_first, read_columns, repeated
+
     names = ("time", "node_id", "s", "e", "x", "r")
     index = {}  # node ids in order of first appearance
 

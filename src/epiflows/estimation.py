@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import cell, numbers, raise_first, read_columns, repeated, reprs, text, write_columns
 from .dynamics import _CYCLE, EpidemicParams, SystemState, Trajectory
 from .errors import DimensionMismatch, ParseError, ScheduleMismatch, ValidationError
 from .network import FlowNetwork, NetworkSchedule, _coupling_rows
@@ -265,6 +264,8 @@ def parameter_rmse(true_params, estimated) -> tuple[float, float, float, float]:
 
 
 def write_estimate_csv(path, estimate: ParameterEstimate) -> None:
+    from ._csvio import cell, reprs, write_columns
+
     p = estimate.params
     write_columns(path, ("node_id", "beta", "sigma", "delta", "alpha", "residual",
                          "identifiable", "condition_number"), [
@@ -279,6 +280,8 @@ def read_params_csv(path) -> tuple[tuple[str, ...], EpidemicParams]:
     """Read per-node rates from a CSV with the write_estimate_csv column layout
     (extra columns are ignored); ParseError names ``path:line`` of a rate
     that is not a finite number, or of a node id given twice."""
+    from ._csvio import numbers, raise_first, read_columns, repeated, text
+
     rates = ("beta", "sigma", "delta", "alpha")
     node_ids, beta, sigma, delta, alpha = read_columns(
         path, ("node_id", *rates),

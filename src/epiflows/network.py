@@ -153,7 +153,8 @@ def build_network(node_ids, populations, flows, balance_tolerance: float = 1e-6)
     if np.any(populations <= 0):
         raise NegativeEntry("populations must be strictly positive")
     _check_flows(flows)
-    rel = _imbalance(flows)
+    outflow = flows.sum(axis=0)
+    rel = _imbalance(outflow, flows.sum(axis=1))
     if np.any(rel > balance_tolerance):
         worst = int(np.argmax(rel))
         raise BalanceViolation(
@@ -161,7 +162,6 @@ def build_network(node_ids, populations, flows, balance_tolerance: float = 1e-6)
             f"{rel[worst]:.3e} exceeds tolerance {balance_tolerance:.1e}"
         )
 
-    outflow = flows.sum(axis=0)
     # a column without outflow is all zeros, and divides to zeros
     routing = flows / np.where(outflow > 0, outflow, 1.0)
     return _network(node_ids, populations.copy(), flows.copy(), outflow / populations, routing)
@@ -170,19 +170,19 @@ def build_network(node_ids, populations, flows, balance_tolerance: float = 1e-6)
 def _check_flows(flows: np.ndarray) -> None:
     """Reject an (n, n) flow matrix or a (P, n, n) stack with an entry that is
     not finite or is negative, or with a nonzero diagonal."""
-    if not np.isfinite(flows).all():
+    low, high = flows.min(initial=0.0), flows.max(initial=0.0)  # nan reaches both
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise ValidationError("flows must be finite")
-    if np.any(flows < 0):
+    if low < 0:
         raise NegativeEntry("flows must be nonnegative")
     if np.any(np.diagonal(flows, axis1=-2, axis2=-1) != 0):
         raise ValidationError("flows must have a zero diagonal")
 
 
-def _imbalance(flows: np.ndarray) -> np.ndarray:
-    """Relative imbalance |outflow - inflow| / outflow of each node of an
-    (n, n) matrix or a (P, n, n) stack: 0 at a node without travel, and inf at
-    one with inflow but no outflow."""
-    out, inn = flows.sum(axis=-2), flows.sum(axis=-1)
+def _imbalance(out: np.ndarray, inn: np.ndarray) -> np.ndarray:
+    """Relative imbalance |outflow - inflow| / outflow of each node, from the
+    column sums ``out`` and row sums ``inn`` of flows: 0 at a node without
+    travel, and inf at one with inflow but no outflow."""
     gap = np.abs(out - inn)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(out > 0, gap / out, np.where(gap > 0, np.inf, 0.0))
@@ -249,7 +249,7 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
 
 def _worst_imbalance(stack: np.ndarray) -> np.ndarray:
     """Largest relative imbalance of :func:`_imbalance` per matrix."""
-    return _imbalance(stack).max(axis=-1, initial=0.0)
+    return _imbalance(stack.sum(axis=-2), stack.sum(axis=-1)).max(axis=-1, initial=0.0)
 
 
 def _newton(stack: np.ndarray) -> np.ndarray:

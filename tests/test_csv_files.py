@@ -913,6 +913,51 @@ def test_wide_cells_convert_once_per_distinct_cell():
     assert values.tolist() == list(range(1, 8)) * 5 and not bad.any()
 
 
+number_texts = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e500", " 2.5", "1_0", "٣", "0x1", ""]),
+    st.from_regex(r"[0-9eE+.-]{1,20}", fullmatch=True),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+            max_size=12),
+    st.none(),  # a short row's missing cell
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(number_texts, st.integers(1, 3)), max_size=30))
+def test_float_cells_decode_as_float_of_each_cell(runs):
+    # one-word columns fold through a u64 sort, wider ones are cast run by run
+    texts = [t for t, count in runs for _ in range(count)]
+    cells = [_csvio._MISSING if t is None else t.encode() for t in texts]
+    column = np.array(cells, f"S{8 * _csvio._words(max(map(len, cells), default=0))}")
+    expected, invalid = np.zeros(len(texts)), np.ones(len(texts), dtype=bool)
+    for k, t in enumerate(texts):
+        try:
+            expected[k] = float(t)
+            invalid[k] = not np.isfinite(expected[k])
+        except (TypeError, ValueError):
+            pass
+    values, bad = _csvio.decode(column)
+    np.testing.assert_array_equal(values, expected)
+    np.testing.assert_array_equal(bad, invalid)
+
+
+def test_one_long_id_in_the_last_block_widens_no_earlier_row(tmp_path):
+    # the last block holds only a 2000-byte id: judged alone it fits an S2000
+    # array, which widened every earlier id to 2000 bytes (33 times the peak)
+    head = b"node_id,population\n"
+    rows = [b"c%06d,%06d\n" % (k, k + 1) for k in range((_csvio._BLOCK - len(head)) // 15)]
+    long_row = b"y" * 2000 + b",1\n"
+    ids = tuple(row[:7].decode() for row in rows) + ("y" * 2000,)
+    peaks = {}
+    for name, data in (("plain", head + b"".join(rows)), ("long", head + b"".join(rows) + long_row),
+                       ("quoted", head + b'"' + rows[0][:7] + b'"' + b"".join(rows)[7:] + long_row)):
+        (tmp_path / name).write_bytes(data)
+        (got, _), peaks[name] = traced_peak(lambda: load_populations(tmp_path / name))
+        assert got == (ids[:-1] if name == "plain" else ids)
+    assert peaks["long"] <= 1.5 * peaks["plain"]
+
+
 # ----------------------------------------------------------- traced memory
 
 @pytest.fixture(scope="module")

@@ -278,6 +278,12 @@ class TestBalanceFlows:
         with pytest.raises(ValidationError, match="flows must be finite"):
             balance_flows(flows, method)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_flows_are_named_before_negative_ones(self, bad):
+        flows = [[0.0, -1.0, bad], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        with pytest.raises(ValidationError, match="flows must be finite"):
+            build_network(["a", "b", "c"], np.ones(3), flows)
+
     def test_balances_where_osborne_runs_out_of_sweeps(self):
         # two lopsided two-node cycles, joined one way by a flow of 3 and back
         # by one of 1e-3: each of the oracle's sweeps gains too little
