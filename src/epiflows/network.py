@@ -228,7 +228,7 @@ def balance_flows(flows, method: str = "scale") -> np.ndarray:
     if method != "scale":
         raise ValidationError(f"unknown balance method {method!r}")
 
-    stack = flows.reshape(-1, *flows.shape[-2:])
+    stack = flows.reshape(math.prod(flows.shape[:-2]), *flows.shape[-2:])
     # D^-1 F D keeps the zero pattern, and it balances exactly iff each weak
     # component of the pattern is strongly connected; where a root's forward
     # and backward reach agree, they are its whole weak component

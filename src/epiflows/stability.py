@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (EpidemicParams, SystemState, Trajectory, _check_dims, _check_simplex,
-                       _Kernel, derivative)
+                       _Kernel)
 from .errors import (
     BalanceViolation,
     DegenerateSpectrum,
@@ -250,7 +250,7 @@ def solve_endemic(
         residual = float(np.abs(fz - z).max())
         if residual <= tolerance:
             state = SystemState.from_matrix(z / z.sum(axis=0))
-            drift = float(np.abs(np.stack(derivative(state, params, network))).max())
+            drift = float(np.abs(kernel(state.as_matrix())).max())
             if drift > 10.0 * tolerance:
                 raise NoConvergence(
                     f"fixed point found but derivative max-norm {drift:.3e} "

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def both_paths(data, names):
     csv.reader's batches joined)."""
     data += bytes(_csvio._PAD)
     batches = _csvio._read_rows("file", data, iter(()), names, ParseError("header"), 0)
-    return (_csvio._split(data, names, ParseError("header")),
+    return (_csvio._split(data, names),
             [np.concatenate(cells) for cells in zip(*batches)])
 
 
@@ -926,7 +927,7 @@ number_texts = st.one_of(
 @PROPERTY_SETTINGS
 @given(st.lists(st.tuples(number_texts, st.integers(1, 3)), max_size=30))
 def test_float_cells_decode_as_float_of_each_cell(runs):
-    # one-word columns fold through a u64 sort, wider ones are cast run by run
+    # one-word columns fold through an integer sort, wider ones are cast run by run
     texts = [t for t, count in runs for _ in range(count)]
     cells = [_csvio._MISSING if t is None else t.encode() for t in texts]
     column = np.array(cells, f"S{8 * _csvio._words(max(map(len, cells), default=0))}")
@@ -940,6 +941,77 @@ def test_float_cells_decode_as_float_of_each_cell(runs):
     values, bad = _csvio.decode(column)
     np.testing.assert_array_equal(values, expected)
     np.testing.assert_array_equal(bad, invalid)
+
+
+# ids that share their first 4, 6 or 8 bytes, some of them non-ASCII
+shared_prefix = st.builds(str.__add__, st.sampled_from(["c000", "c0000012", "日本"]),
+                          st.text(st.sampled_from("01é"), max_size=2))
+# and any text, the empty id among them; None is a short row's missing cell
+id_texts = st.one_of(
+    st.none(), shared_prefix,
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=10),
+)
+# keys that hold NUL, and keys wider than an S8 cell that share its first 8 bytes
+NO_CELL_KEYS = ["a\0", "c0000012\0", "c00000123", "c0000012é"]
+
+
+def cell_column(texts, kind):
+    """The texts as cells of an S8, wider S or object column, as read_columns gives them."""
+    cells = [_csvio._MISSING if t is None else t.encode() for t in texts]
+    words = max(2, _csvio._words(max(map(len, cells), default=0)))
+    return np.array(cells, {"S8": "S8", "wide": f"S{8 * words}", "object": object}[kind])
+
+
+@st.composite
+def key_blocks(draw):
+    """(blocks, index keys): 1-4 blocks of (texts, column), every block's
+    texts drawn from one small pool so that blocks repeat each other's
+    cells, as ids or as int64 keys."""
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.sampled_from([-1, 0, 1, 2, 2**62, -2**63, 2**63 - 1]),
+                             min_size=1, unique=True))
+        return [(v, np.array(v, np.int64)) for v in draw(st.lists(
+            st.lists(st.sampled_from(pool), max_size=25), min_size=1, max_size=4))], []
+    pool = draw(st.lists(shared_prefix, min_size=2, max_size=4, unique=True))
+    pool += draw(st.lists(id_texts.filter(lambda t: t not in pool), max_size=4, unique=True))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["S8", "wide", "object"]))
+        fits = [t for t in pool if kind != "S8" or t is None or len(t.encode()) <= 8]
+        texts = draw(st.lists(st.sampled_from(fits), max_size=25)) if fits else []
+        blocks.append((texts, cell_column(texts, kind)))
+    keys = st.one_of(st.sampled_from(pool), st.sampled_from(NO_CELL_KEYS), id_texts)
+    return blocks, draw(st.lists(keys, unique=True, max_size=8))
+
+
+def running(items, seen: set) -> list:
+    """For each item, whether ``seen`` or an earlier item holds it; ``seen`` gains them."""
+    out = []
+    for item in items:
+        out.append(item in seen)
+        seen.add(item)
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(key_blocks())
+def test_key_operations_match_plain_python_over_texts(drawn):
+    # every key operation finds exactly the cells whose text (or int) it is
+    # given, whatever the column's width and however many bytes cells share
+    blocks, keys = drawn
+    index = {key: 5 * k + 2 for k, key in enumerate(keys)}
+    numbering, seen, earlier = {key: k for k, key in enumerate(keys)}, [], set()
+    for texts, column in blocks:
+        if column.dtype != np.int64:  # ids: looked up and numbered by their text
+            assert _csvio.indices(column, index).tolist() == [index.get(t, -1) for t in texts]
+            assert _csvio.distinct(column) == tuple(dict.fromkeys(texts))
+            want = dict(numbering)
+            for t in texts:
+                want.setdefault(t, len(want))
+            assert _csvio.numbered(column, numbering).tolist() == [want[t] for t in texts]
+            assert list(numbering.items()) == list(want.items())
+        assert _csvio.repeated(column).tolist() == running(texts, set())
+        assert _csvio.repeated_across(column, seen).tolist() == running(texts, earlier)
 
 
 def test_one_long_id_in_the_last_block_widens_no_earlier_row(tmp_path):
@@ -956,6 +1028,26 @@ def test_one_long_id_in_the_last_block_widens_no_earlier_row(tmp_path):
         (got, _), peaks[name] = traced_peak(lambda: load_populations(tmp_path / name))
         assert got == (ids[:-1] if name == "plain" else ids)
     assert peaks["long"] <= 1.5 * peaks["plain"]
+
+
+def test_one_long_id_in_the_first_block_keeps_the_duplicate_check_n_log_n(tmp_path):
+    # the 2000-byte id makes every id cell an object; a duplicate check by
+    # np.isin compares every pair of object ids, 16 s here against 0.1 s
+    head = b"node_id,population\n"
+    rows = [b"c%06d,%06d\n" % (k, k + 1) for k in range((_csvio._BLOCK - len(head)) // 15)]
+    ids = tuple(row[:7].decode() for row in rows)
+    seconds = {}
+    for name, data in (("plain", head + b"".join(rows)),
+                       ("long", head + b"y" * 2000 + b",1\n" + b"".join(rows))):
+        (tmp_path / name).write_bytes(data)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            got, _ = load_populations(tmp_path / name)
+            times.append(time.perf_counter() - start)
+        seconds[name] = min(times)
+        assert got == (ids if name == "plain" else ("y" * 2000, *ids))
+    assert seconds["long"] <= 20 * seconds["plain"] + 0.5
 
 
 # ----------------------------------------------------------- traced memory

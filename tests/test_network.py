@@ -270,6 +270,13 @@ class TestBalanceFlows:
             balance_flows(np.zeros((2, 2)), "midpoint")
 
     @pytest.mark.parametrize("method", ["scale", "symmetrize"])
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0), (0, 3, 3)])
+    def test_empty_flows_balance_to_themselves(self, method, shape):
+        # build_network accepts the empty network, so its flows balance too
+        out = balance_flows(np.zeros(shape), method)
+        assert out.shape == shape
+
+    @pytest.mark.parametrize("method", ["scale", "symmetrize"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("stacked", [False, True])
     def test_non_finite_flows_rejected(self, method, bad, stacked):
