@@ -290,15 +290,10 @@ def text(cell) -> str | None:
     return None if cell == _MISSING else cell.decode()
 
 
-def distinct(column) -> tuple:
-    """The texts of the column's cells in order of first appearance."""
-    return tuple(map(text, column[np.sort(_first_rows(_distinct(column)[1]))].tolist()))
-
-
 def numbered(column, index: dict) -> np.ndarray:
     """``indices`` of the column after adding to ``index`` the texts it does
     not hold yet, numbered in order of first appearance; over a file's
-    blocks in turn, ``index`` ends as its ``distinct`` ids."""
+    blocks in turn, ``index`` ends as its distinct ids."""
     cells, inverse = _distinct(column)
     order, codes = np.argsort(_first_rows(inverse)), np.empty(len(cells), np.intp)
     codes[order] = [index.setdefault(text(cell), len(index)) for cell in cells[order].tolist()]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import (decode, distinct, indices, numbered, raise_first, read_columns,
+from ._csvio import (decode, indices, numbered, raise_first, read_columns,
                      repeated_across, text)
 from .errors import (
     CasesExceedPopulation,
@@ -108,9 +108,10 @@ def load_populations(path) -> tuple[tuple[str, ...], np.ndarray]:
         return ids, pops
 
     ids, pops = read_columns(path, names, _header_error(path, names), rows)
+    seen.clear()  # a sorted copy of the ids, kept only for the duplicate checks
     if not len(ids):
         raise ParseError(f"{path}: no data rows")
-    return distinct(ids), pops
+    return tuple(map(text, ids)), pops  # repeated_across: the ids are distinct
 
 
 def _window_sums(path, node_ids, aggregation_days: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,12 @@
 """Travel-flow graphs: construction, balance enforcement, connectivity checks.
 
 Conventions: ``flows[i, j]`` is the number of individuals moving from node j
-to node i per unit time. A network stores them with the outflow fractions
+to node i per unit time. A network stores the outflow fractions
 ``gamma[j] = sum_i flows[i, j] / populations[j]`` and the column-stochastic
-routing ``routing[i, j] = flows[i, j] / sum_l flows[l, j]``, and derives the
-coupling ``coupling[i, j] = (N_j / N_i) * routing[i, j] * gamma[j]`` of every
-compartment's dynamics when it is read: it conserves population by
-construction wherever a routing column sums to 1.
+routing ``routing[i, j] = flows[i, j] / sum_l flows[l, j]``. It derives the
+flows ``routing[i, j] * gamma[j] * N_j`` (the input's to rounding) and the
+coupling ``(N_j / N_i) * routing[i, j] * gamma[j]`` when they are read; the
+coupling conserves population wherever a routing column sums to 1.
 """
 from __future__ import annotations
 
@@ -39,17 +39,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Immutable travel-flow graph; the coupling is derived when it is read."""
+    """Immutable travel-flow graph; flows and coupling are derived when read."""
 
     node_ids: tuple[str, ...]
     populations: np.ndarray
-    flows: np.ndarray
     gamma: np.ndarray
     routing: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.node_ids)
+
+    @property
+    def flows(self) -> np.ndarray:
+        """routing diag(gamma N), a new frozen array per read."""
+        return _freeze(self.routing * (self.gamma * self.populations)[None, :])
 
     @property
     def coupling(self) -> np.ndarray:
@@ -164,7 +168,7 @@ def build_network(node_ids, populations, flows, balance_tolerance: float = 1e-6)
 
     # a column without outflow is all zeros, and divides to zeros
     routing = flows / np.where(outflow > 0, outflow, 1.0)
-    return _network(node_ids, populations.copy(), flows.copy(), outflow / populations, routing)
+    return _network(node_ids, populations.copy(), outflow / populations, routing)
 
 
 def _check_flows(flows: np.ndarray) -> None:
@@ -188,9 +192,9 @@ def _imbalance(out: np.ndarray, inn: np.ndarray) -> np.ndarray:
         return np.where(out > 0, gap / out, np.where(gap > 0, np.inf, 0.0))
 
 
-def _network(node_ids, populations, flows, gamma, routing) -> FlowNetwork:
+def _network(node_ids, populations, gamma, routing) -> FlowNetwork:
     """The network with every array frozen."""
-    return FlowNetwork(node_ids, *map(_freeze, (populations, flows, gamma, routing)))
+    return FlowNetwork(node_ids, *map(_freeze, (populations, gamma, routing)))
 
 
 def _coupling_rows(network: FlowNetwork, rows: slice) -> np.ndarray:
@@ -336,9 +340,9 @@ def perturb_flows_balanced(network: FlowNetwork, theta, tol: float = 1e-10) -> F
     theta must keep gamma nonnegative, be 0 at every node whose routing
     column is all zero, and satisfy the balance identity
     ``theta_i = sum_j (N_j/N_i) routing[i, j] theta_j`` within tol; routing
-    is kept as-is and flows are recomputed from gamma + theta. The coupling
-    is derived from the routing when it is read, so total population is
-    conserved, as for every network from build_network.
+    is kept as-is, so the flows derived from it and gamma + theta stay
+    balanced. The coupling is derived from the routing when it is read, so
+    total population is conserved, as for every network from build_network.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != network.gamma.shape:
@@ -361,5 +365,4 @@ def perturb_flows_balanced(network: FlowNetwork, theta, tol: float = 1e-10) -> F
         raise PerturbationUnbalanced(
             f"theta violates the balance identity by {residual:.3e} (tol {tol:.0e})"
         )
-    flows = network.routing * (new_gamma * pops)[None, :]
-    return _network(network.node_ids, pops, flows, new_gamma, network.routing)
+    return _network(network.node_ids, pops, new_gamma, network.routing)

@@ -5,10 +5,12 @@ import csv
 import dataclasses
 import datetime
 import heapq
+import inspect
 import math
 import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 from hypothesis import settings
@@ -235,6 +237,15 @@ def routing_by_masked_divide(flows):
 def coupling_by_formula(populations, routing, gamma):
     """Phi[i, j] = routing[i, j] gamma_j N_j / N_i."""
     return (1.0 / populations)[:, None] * routing * (gamma * populations)[None, :]
+
+
+def with_input_flows(module, make, *args):
+    """make(*args)'s value and the flows given to the last build_network call
+    it made through ``module``, as the float array build_network read."""
+    with mock.patch.object(module, "build_network", wraps=build_network) as spy:
+        made = make(*args)
+    call = inspect.signature(build_network).bind(*spy.call_args.args, **spy.call_args.kwargs)
+    return made, np.asarray(call.arguments["flows"], dtype=float)
 
 
 def perturbed_by_formula(network, theta):

@@ -643,6 +643,17 @@ class TestValidateData:
         payload = read_json(tmp_path / "validation.json")
         assert payload["ok"] is True
 
+    def test_weekly_windows_of_raw_trips_balance(self, tmp_path):
+        # 12 weekly windows of Poisson trips; the check reads each window's flows
+        net, _, _ = synthetic_county_system(n=87, seed=1)
+        paths = dump_system_csvs(tmp_path, net)
+        write_gravity_trips(paths["flows"], net, seed=1, days=84)
+        code = run("validate-data", "--populations", str(paths["populations"]),
+                   "--flows", str(paths["flows"]), "--out-dir", str(tmp_path))
+        assert code == 0
+        checks = {c["check"]: c for c in read_json(tmp_path / "validation.json")["checks"]}
+        assert checks["flows_balance"]["ok"] and checks["flows_connectivity"]["ok"]
+
     def test_unbalanceable_flows_exit_1(self, tmp_path, capsys):
         (tmp_path / "pop.csv").write_text("node_id,population\na,10\nb,10\n")
         (tmp_path / "flows.csv").write_text(
