@@ -24,7 +24,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .network import FlowNetwork, NetworkSchedule, _transport, as_schedule
+from .network import FlowNetwork, NetworkSchedule, _transport_t, as_schedule
 
 SIMPLEX_SUM_TOL = 1e-9
 CLAMP_EPS = 1e-12
@@ -176,11 +176,14 @@ class _Kernel:
     of R holds compartment c's per-node exit rate (beta x, sigma, delta,
     alpha); row 0 is refreshed from the state on each call. C hands each
     exit flux on around the cycle, so the local terms cancel per node. Holds
-    one n x n matrix and three 4 x n arrays, never a 4n x 4n operator.
+    one n x n matrix and three 4 x n arrays, never a 4n x 4n operator; A^T
+    is written into ``a_t`` when it is given, so that a run reuses one
+    buffer across its periods.
     """
 
-    def __init__(self, params: EpidemicParams, network: FlowNetwork):
-        self.a_t = np.ascontiguousarray(_transport(network).T)
+    def __init__(self, params: EpidemicParams, network: FlowNetwork,
+                 a_t: np.ndarray | None = None):
+        self.a_t = _transport_t(network, a_t)
         self.beta = params.beta
         self.rates = np.stack([params.beta, params.sigma, params.delta, params.alpha])
         self.infection, self.flux, self.cycled = self.rates[0], *np.empty((2, *self.rates.shape))
@@ -277,9 +280,9 @@ def integrate(
     times = np.concatenate([[0.0], *(grid for _, grid, _ in periods)])
     data = np.empty((len(times), 4, n))
     data[0] = state0.as_matrix()
-    stages, k = tuple(np.empty((4, 4, n))), 0
+    stages, k, a_t = tuple(np.empty((4, 4, n))), 0, np.empty((n, n))
     for net, grid, sizes in periods:
-        kernel, sizes = _Kernel(params, net), sizes.tolist()
+        kernel, sizes = _Kernel(params, net, a_t), sizes.tolist()
         # a ufunc converts a Python float scalar on every call; 0-d arrays
         # made stability-mix 8 % faster in wall time, with the same bits
         scales = {h: tuple(map(np.array, (0.5 * h, h, h / 6.0))) for h in set(sizes)}
@@ -349,9 +352,9 @@ def simulate_discrete(
     n = state0.n
     truth = np.empty((steps + 1, 4, n))
     truth[0] = state0.as_matrix()
-    z = truth[0]
+    z, a_t = truth[0], np.empty((n, n))
     for start, stop, net in schedule._runs(np.arange(steps) * h):
-        kernel = _Kernel(params, net)
+        kernel = _Kernel(params, net, a_t)
         for k in range(start, stop):
             z = _euler_step_raw(z, kernel, h, k * h)
             truth[k + 1] = z
@@ -359,7 +362,9 @@ def simulate_discrete(
     if noise_std > 0.0:
         if rng is None or isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(rng)
-        observed = np.clip(truth + rng.normal(0.0, noise_std, truth.shape), 0.0, 1.0)
+        observed = rng.normal(0.0, noise_std, truth.shape)
+        observed += truth
+        np.clip(observed, 0.0, 1.0, out=observed)
         observed /= observed.sum(axis=1, keepdims=True)
     else:
         observed = truth

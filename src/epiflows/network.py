@@ -58,7 +58,8 @@ class FlowNetwork:
     @property
     def coupling(self) -> np.ndarray:
         """Phi = diag(1/N) routing diag(gamma N), a new frozen array per read."""
-        return _freeze(_coupling_rows(self, slice(None)))
+        pops = self.populations
+        return _freeze((1.0 / pops)[:, None] * self.routing * (self.gamma * pops)[None, :])
 
     def node_index(self, node_id: str) -> int:
         try:
@@ -197,17 +198,17 @@ def _network(node_ids, populations, gamma, routing) -> FlowNetwork:
     return FlowNetwork(node_ids, *map(_freeze, (populations, gamma, routing)))
 
 
-def _coupling_rows(network: FlowNetwork, rows: slice) -> np.ndarray:
-    """Rows ``rows`` of Phi = diag(1/N) routing diag(gamma N), as a new array."""
+def _transport_t(network: FlowNetwork, out: np.ndarray | None = None) -> np.ndarray:
+    """A^T for A = Phi - diag(gamma), written into the C-contiguous (n, n)
+    buffer ``out`` when it is given: (routing^T diag(1/N)) scaled by gamma N
+    row by row, then gamma taken off Phi's zero diagonal. The entries carry
+    the bits of the coupling's, since each is the same two products."""
     pops = network.populations
-    return (1.0 / pops[rows])[:, None] * network.routing[rows] * (network.gamma * pops)[None, :]
-
-
-def _transport(network: FlowNetwork) -> np.ndarray:
-    """A = Phi - diag(gamma), gamma taken in place off Phi's zero diagonal."""
-    a = _coupling_rows(network, slice(None))
-    a[np.diag_indices(network.n)] -= network.gamma
-    return a
+    out = np.empty((network.n, network.n)) if out is None else out
+    np.multiply(network.routing.T, 1.0 / pops, out=out)
+    out *= (network.gamma * pops)[:, None]
+    out[np.diag_indices(network.n)] -= network.gamma
+    return out
 
 
 def balance_flows(flows, method: str = "scale") -> np.ndarray:

@@ -28,8 +28,8 @@ from .errors import (
     NotIrreducible,
     ValidationError,
 )
-from .network import (FlowNetwork, _digraph_strongly_connected, _transport, is_strongly_connected,
-                      perturb_flows_balanced)
+from .network import (FlowNetwork, _digraph_strongly_connected, _transport_t,
+                      is_strongly_connected, perturb_flows_balanced)
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -106,7 +106,7 @@ def _healthy_part(params: EpidemicParams, network: FlowNetwork, part: slice) -> 
     a, b, s, d = params.alpha, params.beta, params.sigma, params.delta
     o = np.zeros_like(a)
     blocks = np.array([[-s, b, o], [s, -d, o], [o, d, -a]])
-    return _assemble(_transport(network), blocks[part, part])
+    return _assemble(_transport_t(network).T, blocks[part, part])
 
 
 def u_matrix(params: EpidemicParams, network: FlowNetwork) -> np.ndarray:
@@ -184,7 +184,7 @@ def _existence_indicator(params: EpidemicParams, network: FlowNetwork) -> float:
     is taken. One wider than 1e-12 of the largest rate means a routing column
     does not sum to 1 and population leaks, which raises BalanceViolation."""
     v = np.broadcast_to(network.populations, (4, network.n))
-    ratios = v @ _transport(network) / v
+    ratios = v @ _transport_t(network).T / v
     low, high = ratios.min(), ratios.max()
     scale = np.max([params.alpha, params.beta, params.sigma, params.delta, network.gamma])
     if high - low > 1e-12 * scale:

@@ -300,7 +300,9 @@ class TestEstimate:
                    "--flows", str(paths["flows"]), "--aggregation-days", "1",
                    "--solver", "pseudo_inverse", "--out-dir", str(tmp_path))
         assert code == 0
-        rows = read_json(tmp_path / "estimate.json")["nodes"]
+        payload = read_json(tmp_path / "estimate.json")
+        assert payload["constrained_nodes"] == 0
+        rows = payload["nodes"]
         for i, row in enumerate(rows):
             assert row["identifiable"] is True
             assert abs(row["beta"] - params.beta[i]) < 1e-6
@@ -329,7 +331,11 @@ class TestEstimate:
         code = run("estimate", "--observations", str(obs), "--demo", "five-node",
                    "--solver", "pseudo_inverse", "--out-dir", str(tmp_path))
         assert code == 0
-        assert min(row["beta"] for row in read_json(tmp_path / "estimate.json")["nodes"]) < 0
+        payload = read_json(tmp_path / "estimate.json")
+        negative = sum(min(row[name] for name in ("beta", "sigma", "delta", "alpha")) < 0
+                       for row in payload["nodes"])
+        assert min(row["beta"] for row in payload["nodes"]) < 0
+        assert payload["constrained_nodes"] == negative > 0
 
 
 @pytest.mark.parametrize("command", ["estimate", "predict"])

@@ -453,7 +453,7 @@ def estimates(draw):
     alpha, beta, sigma, delta = (column(rates) for _ in range(4))
     params = EpidemicParams(alpha=alpha, beta=beta, sigma=sigma, delta=delta, strict=False)
     return ParameterEstimate(tuple(ids), params, column(st.floats()), column(st.booleans()),
-                             column(st.floats()))
+                             column(st.floats()), column(st.booleans()))
 
 
 @PROPERTY_SETTINGS

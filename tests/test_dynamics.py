@@ -43,6 +43,7 @@ from epiflows.ingest import _window_sums
 from helpers import (
     PROPERTY_SETTINGS,
     balanced_systems,
+    coupling_by_formula,
     dense_rates,
     integrate_by_steps,
     random_balanced_network,
@@ -179,6 +180,22 @@ class TestKernel:
         assert kernel(m, out) is out
         assert np.array_equal(out, plain) and np.array_equal(kernel(m), plain)
 
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(periods=2))
+    def test_transport_keeps_the_bits_of_the_transposed_coupling(self, system):
+        # A^T is written straight into one C-contiguous buffer, with the bits
+        # of the transposed copy of Phi - diag(gamma), so trajectories keep
+        # theirs; a buffer reused for the next network holds only that one
+        nets, params, _ = system
+        buffer = np.empty((params.n, params.n))
+        for net in nets:
+            phi = coupling_by_formula(net.populations, net.routing, net.gamma)
+            want = np.ascontiguousarray((phi - np.diag(net.gamma)).T)
+            assert _Kernel(params, net, buffer).a_t is buffer
+            assert np.array_equal(buffer, want)
+            fresh = _Kernel(params, net).a_t
+            assert np.array_equal(fresh, want) and fresh.flags.c_contiguous
+
     def test_holds_no_4n_operator(self):
         # a 4n x 4n operator at n = 400 is 16 n^2 entries (41 MB)
         n = 400
@@ -310,8 +327,9 @@ class TestEstimationCost:
         assert out.stdout.split()[-2:] == ["0", "False"]
 
     def test_never_stacks_every_node_at_once(self):
-        # one (n, 4T, 5) stack of all nodes' systems is 6.4 MB here; a chunk
-        # and its QR copy take about two thirds of that
+        # one (n, 4T, 5) stack of all nodes' systems is 6.4 MB here; the
+        # (T, 4, n) increments, the travel product and one compartment's
+        # T x 3 blocks with their QR copy stay below it
         n, t = 400, 100
         rng = np.random.default_rng(6)
         data = rng.dirichlet(np.ones(4), size=(t + 1, n)).transpose(0, 2, 1).copy()
@@ -323,7 +341,6 @@ class TestEstimationCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert estimation._CHUNK < n
         assert peak < n * 4 * t * 5 * 8
 
 
@@ -640,6 +657,47 @@ class TestSimulateDiscrete:
             net = schedule.network_at(k * h)
             m = np.clip(m + h * dense_rates(params, net, m), 0.0, 1.0)
             assert np.abs(traj.data[k + 1] - m).max() < 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(periods=3))
+    def test_one_buffer_serves_every_period(self, system):
+        # a run reuses one A^T buffer across its periods, and steps with the
+        # bits of a fresh kernel per step
+        nets, params, state = system
+        schedule = NetworkSchedule(periods=tuple((1.0, net) for net in nets))
+        h = 0.25  # h (beta + gamma) < 1 keeps every Euler step on the simplex
+        traj = simulate_discrete(state, params, schedule, steps=12, h=h)
+        m = state.as_matrix()
+        for k in range(12):
+            kernel = _Kernel(params, schedule.network_at(k * h))
+            m = dynamics._euler_step_raw(m, kernel, h, k * h)
+            assert np.array_equal(traj.data[k + 1], m)
+
+    def test_noise_keeps_the_bits_of_a_clipped_noisy_copy(self, five_node, five_node_start):
+        # noise is drawn, added to the truth, clipped and normalised in one
+        # buffer, which changes no bit of the observations
+        net, params = five_node
+        clean = simulate_discrete(five_node_start, params, net, 60, 1.0)
+        noisy = simulate_discrete(five_node_start, params, net, 60, 1.0, 0.05, rng=11)
+        rng = np.random.default_rng(11)
+        want = np.clip(clean.data + rng.normal(0.0, 0.05, clean.data.shape), 0.0, 1.0)
+        want /= want.sum(axis=1, keepdims=True)
+        assert np.array_equal(noisy.data, want)
+
+    def test_noisy_run_holds_two_state_arrays(self):
+        # the truth and the noisy observations, and no temporary copy of either
+        n, steps = 200, 300
+        rng = np.random.default_rng(3)
+        net, params = random_balanced_network(rng, n), random_params(rng, n, lo=0.1, hi=0.5)
+        state = random_state(rng, n)
+        tracemalloc.start()
+        try:
+            simulate_discrete(state, params, net, steps, h=0.1, noise_std=0.01, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states = (steps + 1) * 4 * n * 8
+        assert peak < 2.75 * states + n * n * 8  # 3 and more with a noisy copy
 
     def test_noise_statistics(self, five_node, five_node_start):
         net, params = five_node

@@ -233,6 +233,22 @@ class TestEstimateAll:
         bad = estimate_all(series, solver="pseudo_inverse")
         assert max(parameter_rmse(params, bad)) > 1e-4
 
+    def test_long_series_is_factored_a_slice_at_a_time(self):
+        # 30 000 steps of 12 nodes make 8.6 MB of compartment blocks, more
+        # than one slice of them; each node still gets its own fit
+        n, t = 12, 30_000
+        rng = np.random.default_rng(12)
+        net, params = random_balanced_network(rng, n), random_params(rng, n, lo=0.1, hi=0.5)
+        series = series_from_sim(net, params, random_state(rng, n), steps=t, h=0.01)
+        assert estimation._QR_BYTES // (3 * t * 8) < n
+        est = estimate_all(series, solver="pseudo_inverse")
+        names = ("beta", "sigma", "delta", "alpha")
+        got = np.stack([getattr(est.params, name) for name in names], axis=1)
+        nodes = [estimate_node(series, i, solver="pseudo_inverse") for i in range(n)]
+        want = np.array([[getattr(node, name) for name in names] for node in nodes])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert max(parameter_rmse(params, est)) < 1e-8
+
     @PROPERTY_SETTINGS
     @given(balanced_systems(periods=3))
     def test_matches_per_node_phi_row_regressions(self, system):
@@ -291,13 +307,29 @@ def stacked_systems(draw, max_k=8, max_t=6):
     return a
 
 
+def two_period_series(system, solver):
+    """Observations of a drawn system over two periods, noisy for nnls."""
+    nets, params, state = system
+    schedule = NetworkSchedule(periods=tuple((5.0, net) for net in nets))
+    traj = simulate_discrete(state, params, schedule, steps=10, h=0.5,
+                             noise_std=0.01 if solver == "nnls" else 0.0, rng=0)
+    return ObservationSeries.from_trajectory(traj)
+
+
+def factors_of(series, nodes=slice(None)):
+    """estimation._factors of the nodes in the slice ``nodes``."""
+    increments = estimation._increments(series, estimation._step_groups(series))
+    return estimation._factors(series.data[:-1, :, nodes], increments[:, :, nodes], series.h)
+
+
 class TestStackedFit:
-    """The stacked QR fit against lstsq / scipy.optimize.nnls / svd per node."""
+    """The stacked fit against lstsq / scipy.optimize.nnls / svd per node."""
 
     @PROPERTY_SETTINGS
     @given(stacked_systems(), st.sampled_from(estimation.SOLVERS))
     def test_matches_per_node_fit(self, a, solver):
-        theta, residual, identifiable, cond = estimation._fit(a, solver)
+        theta, residual, identifiable, cond, constrained = estimation._fit(
+            np.linalg.qr(a, mode="r"), a.shape[1], solver)
         for i in range(len(a)):
             psi, delta = a[i, :, :4], a[i, :, 4]
             want, want_residual, want_identifiable, want_cond = fit_by_node(psi, delta, solver)
@@ -305,6 +337,8 @@ class TestStackedFit:
             slack = 1e-12 * (1.0 + np.linalg.norm(delta))
             if solver == "nnls":
                 assert theta[i].min() >= 0.0
+            elif want_identifiable:
+                assert constrained[i] == (want.min() < 0)
             assert abs(residual[i] - want_residual) <= slack
             assert abs(residual[i] - np.linalg.norm(psi @ theta[i] - delta)) <= slack
             if want_identifiable:
@@ -315,51 +349,106 @@ class TestStackedFit:
                 assert min(cond[i], want_cond) > 1.0 / RANK_RATIO_TOL
 
     @PROPERTY_SETTINGS
-    @given(balanced_systems(periods=2, max_n=12), st.sampled_from(estimation.SOLVERS))
-    def test_qr_slices_match_one_call(self, system, solver):
-        # each system is built and factored on its own, so slicing the stacks changes no bit
-        nets, params, state = system
-        schedule = NetworkSchedule(periods=tuple((5.0, net) for net in nets))
-        traj = simulate_discrete(state, params, schedule, steps=10, h=0.5,
-                                 noise_std=0.01 if solver == "nnls" else 0.0, rng=0)
-        series = ObservationSeries.from_trajectory(traj)
-        whole = estimate_all(series, solver)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(estimation, "_QR_BYTES", 1)
-            sliced = estimate_all(series, solver)
-        for name in ("beta", "sigma", "delta", "alpha"):
-            assert np.array_equal(getattr(sliced.params, name), getattr(whole.params, name))
-        for got, want in [(sliced.residual_norm, whole.residual_norm),
-                          (sliced.identifiable, whole.identifiable),
-                          (sliced.condition_number, whole.condition_number)]:
-            assert np.array_equal(got, want, equal_nan=True)
+    @given(stacked_systems())
+    def test_supports_are_searched_where_the_fit_is_negative_or_rank_deficient(self, a):
+        # elsewhere the unconstrained fit is the nonnegative optimum, and kept
+        r, rows = np.linalg.qr(a, mode="r"), a.shape[1]
+        theta, _, identifiable, _, constrained = estimation._fit(r, rows, "nnls")
+        unconstrained = estimation._fit(r, rows, "pseudo_inverse")[0]
+        # the search takes contiguous copies of the factors of the nodes it needs
+        searched = estimation._nonnegative(r[:, :4, :4].copy(), r[:, :4, 4].copy(),
+                                           np.finfo(float).eps * rows)
+        for i in range(len(a)):
+            want = searched[i] if constrained[i] or not identifiable[i] else unconstrained[i]
+            assert np.array_equal(theta[i], want)
 
     @PROPERTY_SETTINGS
-    @given(balanced_systems(periods=2, max_n=12), st.sampled_from(estimation.SOLVERS))
-    def test_chunks_match_one_stack(self, system, solver):
-        nets, params, state = system
-        schedule = NetworkSchedule(periods=tuple((5.0, net) for net in nets))
-        traj = simulate_discrete(state, params, schedule, steps=10, h=0.5,
-                                 noise_std=0.01 if solver == "nnls" else 0.0, rng=0)
-        series = ObservationSeries.from_trajectory(traj)
-        whole = estimate_all(series, solver)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(estimation, "_CHUNK", 3)
-            chunked = estimate_all(series, solver)
-        def results(e):
-            return (e.params.beta, e.params.sigma, e.params.delta, e.params.alpha,
-                    e.residual_norm, e.condition_number)
+    @given(balanced_systems(periods=2, max_n=12), st.sampled_from(estimation.SOLVERS),
+           st.integers(1, 12))
+    def test_qr_slices_match_one_call(self, system, solver, step):
+        # each system is built and factored on its own, so factoring the
+        # nodes a slice at a time changes no bit
+        series = two_period_series(system, solver)
+        whole = factors_of(series)
+        sliced = np.concatenate([factors_of(series, slice(i, i + step))
+                                 for i in range(0, series.n, step)])
+        assert np.array_equal(sliced, whole)
 
-        # the chunks' travel products may round differently from the whole one's
-        for got, want in zip(results(chunked), results(whole)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
-        assert np.array_equal(chunked.identifiable, whole.identifiable)
+    @PROPERTY_SETTINGS
+    @given(stacked_systems(max_k=12), st.sampled_from(estimation.SOLVERS), st.integers(1, 5))
+    def test_chunks_match_one_stack(self, a, solver, step):
+        # each node is fitted on its own, the support search over the
+        # nodes that need it too, so fitting chunks of nodes changes no bit
+        r = np.linalg.qr(a, mode="r")
+        whole = estimation._fit(r, a.shape[1], solver)
+        for i in range(0, len(a), step):
+            chunk = estimation._fit(r[i : i + step], a.shape[1], solver)
+            for got, want in zip(chunk, whole):
+                assert np.array_equal(got, want[i : i + step], equal_nan=True)
+
+    @PROPERTY_SETTINGS
+    @given(balanced_systems(periods=2, max_n=6), st.integers(0, 2**32 - 1))
+    def test_compartment_factors_match_the_dense_qr(self, system, seed):
+        # R^T R = A^T A for the dense system A = [Psi | delta] of
+        # build_regression, at T = 1, T = 2 and longer, with all-zero flux
+        # columns where a compartment is empty
+        nets, _, _ = system
+        n, rng = nets[0].n, np.random.default_rng(seed)
+        schedule = NetworkSchedule(periods=tuple((5.0, net) for net in nets))
+        for t in (1, 2, 7):
+            data = rng.dirichlet(np.ones(4), size=(t + 1, n)).transpose(0, 2, 1)
+            data[:, rng.random((4, n)) < 0.3] = 0.0  # compartments empty at every sample
+            data[:, 0] += data.sum(axis=1) == 0  # a node with none left is all susceptible
+            data /= data.sum(axis=1, keepdims=True)
+            series = ObservationSeries(h=0.5, times=0.5 * np.arange(t + 1.0), data=data,
+                                       schedule=schedule)
+            r = factors_of(series)
+            assert r.shape == (n, min(4 * t, 5), 5)
+            for i in range(n):
+                psi, delta = build_regression(series, i)
+                gram = np.column_stack([psi, delta])
+                gram = gram.T @ gram
+                got = r[i].T @ r[i]
+                assert np.abs(got - gram).max() <= 1e-12 * max(np.abs(gram).max(), 1e-300)
+
+    def test_mixed_chunk_matches_per_node_fit(self):
+        # one chunk holds nodes whose unconstrained fit is feasible, nodes
+        # run backwards in time whose fit has negative rates, and empty
+        # nodes whose systems are 0; the support search runs on a subset
+        n, t = 12, 30
+        rng = np.random.default_rng(4)
+        net = build_network([f"n{i}" for i in range(n)], np.full(n, 1e4), np.zeros((n, n)))
+        params = random_params(rng, n, lo=0.05, hi=0.5)
+        traj = simulate_discrete(random_state(rng, n), params, net, steps=t, h=1.0)
+        data = traj.data.copy()
+        backwards, empty = np.arange(n) % 3 == 1, np.arange(n) % 3 == 2
+        data[:, :, backwards] = data[::-1, :, backwards]
+        data[:, :, empty] = SystemState.healthy(int(empty.sum())).as_matrix()
+        series = ObservationSeries(h=1.0, times=traj.times, data=data,
+                                   schedule=NetworkSchedule.static(net))
+        names = ("beta", "sigma", "delta", "alpha")
+        for solver in estimation.SOLVERS:
+            est = estimate_all(series, solver)
+            assert np.array_equal(est.identifiable, ~empty)
+            assert est.constrained[backwards].all() and not est.constrained[~backwards].any()
+            for i in range(n):
+                psi, delta = build_regression(series, i)
+                want, want_residual, _, want_cond = fit_by_node(psi, delta, solver)
+                got = np.array([getattr(est.params, name)[i] for name in names])
+                tol = 1e-12 if solver == "pseudo_inverse" else 1e-10
+                assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+                assert abs(est.residual_norm[i] - want_residual) <= 1e-12 * (
+                    1.0 + np.linalg.norm(delta))
+                if not empty[i]:
+                    assert est.condition_number[i] == pytest.approx(want_cond, rel=1e-10)
 
     @pytest.mark.parametrize("solver", estimation.SOLVERS)
-    def test_chunk_rows_match_the_whole_coupling(self, monkeypatch, solver):
-        # each chunk derives only its own rows of Phi; they are the rows of
-        # the whole matrix to the bit, so the fit is too
-        n, rng = estimation._CHUNK + 22, np.random.default_rng(9)
+    def test_travel_terms_match_the_coupling_formula(self, solver):
+        # one product per period with the routing, instead of one with the
+        # coupling Phi: per entry, n + 8 roundings of the travel term h gamma_i
+        # and two of the increment, against the formula; the fit stays within
+        # the per-node oracle's tolerances
+        n, rng = 150, np.random.default_rng(9)
         pops = rng.uniform(1e3, 1e5, n)
         nets = []
         for _ in range(3):
@@ -371,16 +460,23 @@ class TestStackedFit:
         traj = simulate_discrete(random_state(rng, n), random_params(rng, n), schedule,
                                  steps=12, h=0.5, noise_std=0.01, rng=0)
         series = ObservationSeries.from_trajectory(traj)
-        derived = estimate_all(series, solver)
-        monkeypatch.setattr(estimation, "_coupling_rows", lambda net, rows: coupling_by_formula(
-            net.populations, net.routing, net.gamma)[rows])
-        whole = estimate_all(series, solver)
-        for name in ("beta", "sigma", "delta", "alpha"):
-            assert np.array_equal(getattr(derived.params, name), getattr(whole.params, name))
-        for got, want in [(derived.residual_norm, whole.residual_norm),
-                          (derived.identifiable, whole.identifiable),
-                          (derived.condition_number, whole.condition_number)]:
-            assert np.array_equal(got, want, equal_nan=True)
+        got = estimation._increments(series, estimation._step_groups(series))
+        q, h, eps = series.data, series.h, np.finfo(float).eps
+        for k in range(series.steps):
+            net = schedule.network_at(series.times[k])
+            phi = coupling_by_formula(net.populations, net.routing, net.gamma)
+            want = q[k + 1] - q[k] + h * (net.gamma * q[k] - q[k] @ phi.T)
+            bound = (n + 8) * eps * h * net.gamma + 2 * eps * np.abs(want)
+            assert np.all(np.abs(got[k] - want) <= bound)
+        est = estimate_all(series, solver)
+        names = ("beta", "sigma", "delta", "alpha")
+        for i in range(n):
+            psi, delta = regression_by_phi_rows(series, i)
+            want, want_residual, identifiable, _ = fit_by_node(psi, delta, solver)
+            assert identifiable and est.identifiable[i]
+            theta = np.array([getattr(est.params, name)[i] for name in names])
+            tol = 1e-12 if solver == "pseudo_inverse" else 1e-10
+            assert np.abs(theta - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
 class TestParameterRmse:
@@ -426,6 +522,7 @@ class TestSerialization:
         net, params = five_node
         series = series_from_sim(net, params, five_node_start, steps=20, h=1.0)
         payload = estimate_all(series).to_dict()
+        assert set(payload) == {"nodes", "constrained_nodes"}
         row = payload["nodes"][0]
         assert set(row) == {
             "node_id", "beta", "sigma", "delta", "alpha",

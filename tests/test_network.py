@@ -19,7 +19,7 @@ from epiflows import (
     perturb_flows_balanced,
 )
 from epiflows import network
-from epiflows.network import FlowNetwork, _transport
+from epiflows.network import FlowNetwork, _transport_t
 from epiflows.errors import (
     BalanceViolation,
     DimensionMismatch,
@@ -167,7 +167,8 @@ def assert_matches_formulas(net, flows, c):
     for got, expected in zip((out.flows, out.gamma, out.coupling), want):
         assert np.array_equal(got, expected)
     for a in (net, out):
-        assert np.array_equal(_transport(a), a.coupling - np.diag(a.gamma))
+        assert np.array_equal(_transport_t(a), (a.coupling - np.diag(a.gamma)).T)
+        assert _transport_t(a).flags.c_contiguous
     gap = net.populations @ (out.coupling - np.diag(out.gamma))
     assert np.abs(gap).max() <= 1e-12 * max(1.0, (out.gamma * net.populations).max())
     assert out.routing is net.routing and out.populations is net.populations
