@@ -26,6 +26,7 @@ import codecs
 import csv
 import io
 import math
+import os
 import re
 from itertools import chain, islice
 
@@ -52,33 +53,41 @@ def read_columns(path, names, header_error: Exception, rows) -> list[np.ndarray]
     after ``start`` data rows. ``rows`` returns arrays, one row each, joined
     across parts, or raises the EpiflowsError of its earliest bad row, which
     is raised at the end of the file unless ``_read_rows`` raises first."""
-    out, size, start, error, read = None, 0, 0, None, 0
+    out, size, start, error, read, lines = None, 0, 0, None, 0, 0
 
-    def counted(blocks):  # the blocks, counting their bytes into ``read``
-        nonlocal read
+    def counted(blocks):  # the blocks, counting their bytes and data lines
+        nonlocal read, lines
         for block in blocks:
             read += len(block) - _PAD
+            lines += block.count(b"\n", block.find(b"\n") + 1)
             yield block
 
     with open(path, "rb") as fh:
-        blocks = counted(_blocks(fh))
+        length, blocks = os.fstat(fh.fileno()).st_size, counted(_blocks(fh))  # length 0: a pipe
         for block in blocks:
             columns = None if _needs_reader(block) else _split(block, names)
             # from the first block that numpy refuses, csv.reader reads every block left
             for columns in [columns] if columns else _read_rows(
                     path, block, blocks, names, header_error, start):
-                if error is None and len(columns[0]):
+                total = start + len(columns[0])
+                if error is None and total > start:
                     # an S column is judged over all the rows read so far, as _read_rows
                     # judges, so one long cell in a late block widens no earlier row
-                    total = start + len(columns[0])
                     columns = [c.astype(object) if c.dtype.kind == "S" and
                                _too_wide(c.itemsize, total, read) else c for c in columns]
                     try:
                         part = rows(start, *columns)
-                        out, size = _append(out, size, part), size + len(part[0])
+                        if out is None:
+                            out = list(part)
+                        else:  # the file's lines by those read, kept as so far, plus 1/16
+                            expect = lines * length // read * (size + len(part[0])) // total
+                            _append(out, size, part, expect + (expect >> 4))
+                        size += len(part[0])
                     except EpiflowsError as exc:
                         error = exc
-                start += len(columns[0])
+                    columns = part = None  # gone before the next block is read
+                start = total
+            block = None  # and the block, before the next one is joined
     if error is not None:
         raise error
     if out is None:  # no data rows
@@ -89,24 +98,19 @@ def read_columns(path, names, header_error: Exception, rows) -> list[np.ndarray]
     return out
 
 
-def _append(out, size: int, part) -> list[np.ndarray]:
-    """The arrays ``out``, filled to row ``size``, with the arrays ``part``
-    written after them. An array too short or too narrow for its part is
-    replaced by one of the next power-of-two length, however the rows came
-    in parts; no list of parts is kept to sit among freed temporaries."""
-    if out is None:
-        return list(part)
+def _append(out, size: int, part, expect: int) -> None:
+    """Write the arrays ``part`` into ``out`` after row ``size``, replacing
+    one array at a time any too short or too narrow: by one of ``expect``
+    rows, or of the next power-of-two length when that is too few."""
     need = size + len(part[0])
-    grown = []
-    for column, cells in zip(out, part):
+    for k, (column, cells) in enumerate(zip(out, part)):
         dtype = np.result_type(column, cells)
         if need > len(column) or dtype != column.dtype:
-            wider = np.empty(max(len(column), 1 << (need - 1).bit_length()), dtype)
+            longer = expect if expect >= need else 1 << (need - 1).bit_length()
+            wider = np.empty(max(len(column), longer), dtype)
             wider[:size] = column[:size]
-            column = wider
+            out[k] = column = wider
         column[size:need] = cells
-        grown.append(column)
-    return grown
 
 
 def _blocks(stream):
@@ -129,6 +133,7 @@ def _blocks(stream):
         elif len(block) == len(header) + _PAD:
             continue
         yield block
+        block = None  # gone before the next chunk is read
 
 
 def _needs_reader(block: bytes) -> bool:

@@ -371,8 +371,8 @@ def cmd_validate_data(args) -> int:
 
     if args.flows:
         schedule = load_flows(args.flows, node_ids, populations, args.aggregation_days)
-        stack = np.stack([net.flows for _, net in schedule.periods])
-        worst = float(_worst_imbalance(stack).max())
+        # one window's flows at a time: a stack of them is P n^2 doubles
+        worst = max(float(_worst_imbalance(net.flows)) for _, net in schedule.periods)
         record("flows_balance", worst < 1e-9, f"worst relative imbalance {worst:.3e}")
         connected = all(is_strongly_connected(net) for _, net in schedule.periods)
         record("flows_connectivity", connected,

@@ -4,13 +4,14 @@ Each node decouples into a 4T x 4 least-squares system Psi theta = delta for
 theta = (beta, sigma, delta, alpha): delta stacks the state increments with the
 travel terms moved to the left-hand side, and Psi is h times the SEIRS cycle
 matrix C applied to the exit fluxes per unit rate (s x, e, x, r). The travel
-terms of all nodes come from one product per schedule period with the stored
-routing. Each system is reduced to its 5 x 5 triangular factor by a QR per
-compartment, whose rows are zero but in three columns, and one QR of the
-stacked triangles. Fits are read from the factors; the nonnegative fit
-searches the supports of theta (Lawson & Hanson, Solving Least Squares
-Problems, 1974, ch. 23) only where the unconstrained fit has a negative rate
-or Psi is rank-deficient, so no iterative solver is needed.
+terms of all nodes come from products with the stored routing, a time slice
+of each schedule period at a time. Each system is reduced to its 5 x 5
+triangular factor by a QR per compartment, whose rows are zero but in three
+columns, and one QR of the stacked triangles. Fits are read from the
+factors; the nonnegative fit searches the supports of theta (Lawson &
+Hanson, Solving Least Squares Problems, 1974, ch. 23) only where the
+unconstrained fit has a negative rate or Psi is rank-deficient, so no
+iterative solver is needed.
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ RANK_RATIO_TOL = 1e-10
 
 SOLVERS = ("pseudo_inverse", "nnls")
 
-_QR_BYTES = 8 << 20  # compartment blocks built and factored at once: about 8 MB, at least one node
+# bytes of temporaries at a time: time slices of the travel terms, and node
+# blocks of the compartment systems built and factored together
+_QR_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -142,21 +145,32 @@ def _increments(series: ObservationSeries, groups, nodes: slice = slice(None)) -
     in the slice ``nodes``.
 
     The travel term of node i is h (gamma_i q_i - sum_j Phi_ij q_j), and
-    sum_j Phi_ij q_j = (sum_j routing_ij gamma_j N_j q_j) / N_i: one product
-    of each step group's (m, 4, n) state block, scaled by gamma N, with the
-    routing, and no coupling matrix built.
+    sum_j Phi_ij q_j = (sum_j routing_ij gamma_j N_j q_j) / N_i: products of
+    each step group's states, scaled by gamma N, with the routing, and no
+    coupling matrix built. The group is taken in time slices whose
+    temporaries hold about _QR_BYTES, each formed in place.
     """
     if series.steps < 1:
         raise ValidationError("need at least one transition (T >= 1)")
-    q = series.data  # (T+1, 4, n)
+    q, h = series.data, series.h  # (T+1, 4, n)
     increments = q[1:, :, nodes] - q[:-1, :, nodes]
+    k = increments.shape[2]
+    step = max(1, _QR_BYTES // (32 * (series.n + k)))  # steps whose temporaries fill a block
     for start, stop, net in groups:
         if net.n != series.n:
             raise ScheduleMismatch("schedule node count does not match observations")
-        pops, own = net.populations, q[start:stop, :, nodes]
-        carried = (q[start:stop] * (net.gamma * pops)).reshape(-1, series.n)
-        moved = (carried @ net.routing[nodes].T).reshape(own.shape) / pops[nodes]
-        increments[start:stop] += series.h * (net.gamma[nodes] * own - moved)
+        pops, gamma, weights = net.populations[nodes], net.gamma[nodes], net.routing[nodes].T
+        scale = net.gamma * net.populations
+        for a in range(start, stop, step):
+            b = min(a + step, stop)
+            moved = (q[a:b] * scale).reshape(-1, series.n) @ weights
+            moved = moved.reshape(b - a, 4, k)
+            moved /= pops
+            term = gamma * q[a:b, :, nodes]
+            term -= moved
+            term *= h
+            increments[a:b] += term
+            del moved, term  # before the next slice makes its own
     return increments
 
 
@@ -276,9 +290,10 @@ def estimate_node(series: ObservationSeries, node: int, solver: str = "nnls") ->
 def estimate_all(series: ObservationSeries, solver: str = "nnls") -> ParameterEstimate:
     """Per-node estimation across the network (the system decouples by node).
 
-    The travel terms of all nodes come from one product per schedule
-    period; the systems are then built and factored about _QR_BYTES of
-    compartment blocks at a time, and fitted together from their factors.
+    The travel terms of all nodes come from products per schedule period,
+    a time slice at a time; the systems are then built and factored about
+    _QR_BYTES of compartment blocks at a time, and fitted together from
+    their factors.
     """
     increments = _increments(series, _step_groups(series))
     states, step = series.data[:-1], max(1, _QR_BYTES // (3 * series.steps * 8))

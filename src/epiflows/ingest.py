@@ -119,6 +119,7 @@ def _window_sums(path, node_ids, aggregation_days: int) -> tuple[np.ndarray, np.
     skipped, and the length of each window in days."""
     index = {nid: i for i, nid in enumerate(node_ids)}
     names = ("date", "from_id", "to_id", "trips")
+    n = len(node_ids)
 
     def rows(start, dates, froms, tos, cells):
         day, bad_date = decode(dates, _ordinal, np.int64)
@@ -133,17 +134,21 @@ def _window_sums(path, node_ids, aggregation_days: int) -> tuple[np.ndarray, np.
             (trips < 0, lambda k, where: ParseError(f"{where}: trips must be nonnegative")),
         ], start)
         travel = src != dst
-        return day[travel], src[travel], dst[travel], trips[travel]
+        return ((day * n + dst) * n + src)[travel], trips[travel]  # one key per kept row
 
-    day, src, dst, trips = read_columns(path, names, _header_error(path, names), rows)
-    if not len(day):
+    key, trips = read_columns(path, names, _header_error(path, names), rows)
+    if not len(key):
         raise EmptySchedule(f"{path}: no usable flow rows")
+    day, cell = np.divmod(key, n * n, out=(np.empty_like(key), key))
     first, last = day.min(), day.max()
-    n, n_windows = len(node_ids), (last - first) // aggregation_days + 1
-    window = (day - first) // aggregation_days
+    n_windows = (last - first) // aggregation_days + 1
+    day -= first
+    day //= aggregation_days
+    day *= n * n
+    cell += day  # (window * n + dst) * n + src
+    del day  # 8 bytes a row, gone before the sums are made
     # bincount adds each cell's trips in file order, as a row loop would
-    sums = np.bincount((window * n + dst) * n + src, weights=trips,
-                       minlength=n_windows * n * n).reshape(n_windows, n, n)
+    sums = np.bincount(cell, weights=trips, minlength=n_windows * n * n).reshape(n_windows, n, n)
     spans = np.minimum(aggregation_days, last - first + 1 - aggregation_days * np.arange(n_windows))
     return sums, spans
 
@@ -166,7 +171,8 @@ def load_flows(
         raise ValidationError("aggregation_days must be >= 1")
     node_ids = tuple(node_ids)
     sums, spans = _window_sums(path, node_ids, aggregation_days)
-    balanced = balance_flows(sums / spans[:, None, None], method="scale")
+    sums /= spans[:, None, None]  # daily flows
+    balanced = balance_flows(sums, method="scale")
     return NetworkSchedule(periods=tuple(
         (float(span), build_network(node_ids, populations, flows))
         for span, flows in zip(spans, balanced)

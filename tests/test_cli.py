@@ -26,6 +26,7 @@ from epiflows import (
     write_trajectory_csv,
 )
 from epiflows.cli import main
+from epiflows.network import _worst_imbalance
 from epiflows.demo import (
     five_node_initial_state,
     five_node_system,
@@ -659,6 +660,25 @@ class TestValidateData:
         assert code == 0
         checks = {c["check"]: c for c in read_json(tmp_path / "validation.json")["checks"]}
         assert checks["flows_balance"]["ok"] and checks["flows_connectivity"]["ok"]
+
+    def test_worst_imbalance_is_the_stacked_windows_max(self, tmp_path):
+        # the check reads one window's flows at a time; the max over a stack
+        # of all the windows is the same float, so the file is the same
+        net, _, _ = synthetic_county_system(n=12, seed=3)
+        paths = dump_system_csvs(tmp_path, net)
+        write_gravity_trips(paths["flows"], net, seed=3, days=21)
+        assert run("validate-data", "--populations", str(paths["populations"]),
+                   "--flows", str(paths["flows"]), "--out-dir", str(tmp_path)) == 0
+        schedule = epiflows.load_flows(paths["flows"], net.node_ids, net.populations)
+        assert len(schedule.periods) == 3
+        worst = float(_worst_imbalance(np.stack([n.flows for _, n in schedule.periods])).max())
+        payload = read_json(tmp_path / "validation.json")
+        for check in payload["checks"]:
+            if check["check"] == "flows_balance":
+                check.update(ok=worst < 1e-9, detail=f"worst relative imbalance {worst:.3e}")
+        assert ((tmp_path / "validation.json").read_text()
+                == json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        assert worst == max(float(_worst_imbalance(n.flows)) for _, n in schedule.periods)
 
     def test_unbalanceable_flows_exit_1(self, tmp_path, capsys):
         (tmp_path / "pop.csv").write_text("node_id,population\na,10\nb,10\n")

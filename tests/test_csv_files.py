@@ -1084,6 +1084,26 @@ def test_trajectory_reads_in_less_than_twice_the_file(long_trajectory):
     assert peak < 2.0 * os.path.getsize(path)
 
 
+def test_county_flows_load_in_less_than_one_and_a_half_times_the_file(tmp_path):
+    # the columns are sized from the file's length, one grows at a time, and
+    # a kept row is one key and one count: growing every column by doubling
+    # held 3.7 times the file
+    network, _, _ = synthetic_county_system(n=87, seed=1)
+    path = tmp_path / "trips.csv"
+    write_gravity_trips(path, network, seed=1, days=84)
+    schedule, peak = traced_peak(lambda: load_flows(path, network.node_ids, network.populations))
+    assert len(schedule.periods) == 12
+    assert peak < 1.5 * os.path.getsize(path)
+
+
+def test_trajectory_reads_in_less_than_a_fifth_more_than_the_file(long_trajectory):
+    # growing the columns by doubling held 1.5 times the file
+    trajectory, path = long_trajectory
+    (times, _, data), peak = traced_peak(lambda: read_trajectory_csv(path))
+    assert np.array_equal(times, trajectory.times) and np.array_equal(data, trajectory.data)
+    assert peak < 1.2 * os.path.getsize(path)
+
+
 def test_quoted_county_flows_load_in_the_memory_of_plain_ones(tmp_path):
     # one id holds a comma, so the writer quotes it and csv.reader reads
     # every block; reading the file again whole held 6.6 times the plain peak
@@ -1186,3 +1206,46 @@ def test_observations_read_from_a_pipe(tmp_path):
     for output in ("estimate.json", "estimate.csv"):
         assert ((tmp_path / "pipe" / output).read_bytes()
                 == (tmp_path / "file" / output).read_bytes())
+
+
+# ------------------------------------------------------ trips over blocks
+
+@pytest.fixture(scope="module")
+def block_trips(tmp_path_factory):
+    """A plain trips file of more than three blocks among a, b and c over
+    30 days in random order, self-trips included, where every 97th row is a
+    non-integer count from b to a: each window's sum for that cell adds
+    rows from both sides of every block boundary."""
+    rng = np.random.default_rng(7)
+    count = 4 * _csvio._BLOCK // 18
+    days, src, dst = rng.integers(0, 30, count), *rng.integers(0, 3, (2, count))
+    trips = [str(t) for t in rng.integers(0, 50, count).tolist()]
+    for k in range(0, count, 97):
+        src[k], dst[k], trips[k] = 1, 0, repr(k / 7)
+    dates = [f"2020-03-{d:02d}" for d in range(1, 31)]
+    path = tmp_path_factory.mktemp("blocks") / "trips.csv"
+    path.write_text("date,from_id,to_id,trips\n" + "".join(
+        f"{dates[d]},{'abc'[s]},{'abc'[t]},{n}\n"
+        for d, s, t, n in zip(days.tolist(), src.tolist(), dst.tolist(), trips)))
+    assert path.stat().st_size > 3 * _csvio._BLOCK
+    return path
+
+
+def test_window_sums_over_blocks_match_the_row_loop_bit_for_bit(block_trips):
+    # non-integer counts round in the order they are added: file order
+    sums, spans = _window_sums(block_trips, ("a", "b", "c"), 7)
+    want_sums, want_spans = window_sums_by_rows(block_trips, ("a", "b", "c"), 7)
+    assert len(spans) == 5 and sums[:, 0, 1].all()
+    assert np.array_equal(sums, want_sums) and np.array_equal(spans, want_spans)
+
+
+def test_trips_over_blocks_read_from_a_pipe(block_trips, tmp_path):
+    # a pipe's length reads 0, so its columns grow by doubling instead
+    pipe, populations = tmp_path / "trips.pipe", np.full(3, 1e4)
+    thread = fed_pipe(pipe, block_trips.read_bytes())
+    got = load_flows(pipe, ("a", "b", "c"), populations)
+    assert drained(thread, pipe)
+    want = load_flows(block_trips, ("a", "b", "c"), populations)
+    assert [span for span, _ in got.periods] == [span for span, _ in want.periods]
+    for (_, a), (_, b) in zip(got.periods, want.periods):
+        assert np.array_equal(a.routing, b.routing) and np.array_equal(a.gamma, b.gamma)

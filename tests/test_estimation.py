@@ -33,6 +33,7 @@ from helpers import (
     random_params,
     random_state,
     regression_by_phi_rows,
+    traced_peak,
     write_gravity_trips,
 )
 
@@ -180,6 +181,16 @@ class TestEstimateAll:
         rmse = parameter_rmse(params, est)
         assert max(rmse) < 1e-8
         assert est.identifiable.all()
+
+    def test_long_series_fits_in_less_than_two_and_a_half_times_its_states(
+            self, five_node, five_node_start):
+        # the 30 001 samples of the README's continuous demo; forming the
+        # travel terms of a whole period at once held four times the states
+        net, params = five_node
+        series = series_from_sim(net, params, five_node_start, steps=30_000, h=0.01)
+        est, peak = traced_peak(lambda: estimate_all(series))
+        assert est.identifiable.all()
+        assert peak < 2.5 * series.data.nbytes
 
     def test_all_healthy_series_unidentifiable(self, five_node):
         net, params = five_node
