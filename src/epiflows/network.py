@@ -57,9 +57,9 @@ class FlowNetwork:
 
     @property
     def coupling(self) -> np.ndarray:
-        """Phi = diag(1/N) routing diag(gamma N), a new frozen array per read."""
-        pops = self.populations
-        return _freeze((1.0 / pops)[:, None] * self.routing * (self.gamma * pops)[None, :])
+        """Phi = diag(1/N) routing diag(gamma N), a new frozen array per read:
+        _transport_t's A^T transposed, plus gamma on its (+0.0) diagonal."""
+        return _freeze(_transport_t(self).T + np.diag(self.gamma))
 
     def node_index(self, node_id: str) -> int:
         try:
@@ -201,8 +201,10 @@ def _network(node_ids, populations, gamma, routing) -> FlowNetwork:
 def _transport_t(network: FlowNetwork, out: np.ndarray | None = None) -> np.ndarray:
     """A^T for A = Phi - diag(gamma), written into the C-contiguous (n, n)
     buffer ``out`` when it is given: (routing^T diag(1/N)) scaled by gamma N
-    row by row, then gamma taken off Phi's zero diagonal. The entries carry
-    the bits of the coupling's, since each is the same two products."""
+    row by row, then gamma taken off Phi's zero diagonal. This is the one
+    place Phi is formed: the coupling, the dynamics kernel, U, R and J and
+    the existence indicator all take it from here. The estimator builds no
+    Phi; it multiplies by the routing (estimation._increments)."""
     pops = network.populations
     out = np.empty((network.n, network.n)) if out is None else out
     np.multiply(network.routing.T, 1.0 / pops, out=out)
@@ -340,10 +342,12 @@ def perturb_flows_balanced(network: FlowNetwork, theta, tol: float = 1e-10) -> F
 
     theta must keep gamma nonnegative, be 0 at every node whose routing
     column is all zero, and satisfy the balance identity
-    ``theta_i = sum_j (N_j/N_i) routing[i, j] theta_j`` within tol; routing
-    is kept as-is, so the flows derived from it and gamma + theta stay
-    balanced. The coupling is derived from the routing when it is read, so
-    total population is conserved, as for every network from build_network.
+    ``theta_i = sum_j (N_j/N_i) routing[i, j] theta_j`` within
+    ``tol * max(1, max|theta|)``, a bound relative to theta's size, so that
+    theta = c * gamma passes at any scale c; routing is kept as-is, so the
+    flows derived from it and gamma + theta stay balanced. The coupling is
+    derived from the routing when it is read, so total population is
+    conserved, as for every network from build_network.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != network.gamma.shape:
@@ -360,10 +364,12 @@ def perturb_flows_balanced(network: FlowNetwork, theta, tol: float = 1e-10) -> F
         raise PerturbationUnbalanced(
             f"theta must be 0 at node {network.node_ids[stranded[0]]!r}, which routes nowhere")
     pops = network.populations
-    propagated = (1.0 / pops)[:, None] * network.routing * pops[None, :] @ theta
+    propagated = network.routing @ (pops * theta) / pops
     residual = float(np.abs(theta - propagated).max())
-    if residual > tol:
+    bound = tol * max(1.0, float(np.abs(theta).max(initial=0.0)))
+    if residual > bound:
         raise PerturbationUnbalanced(
-            f"theta violates the balance identity by {residual:.3e} (tol {tol:.0e})"
+            f"theta violates the balance identity by {residual:.3e} "
+            f"(bound {bound:.3e}, tol {tol:.0e})"
         )
     return _network(network.node_ids, pops, new_gamma, network.routing)

@@ -2,11 +2,12 @@
 
 The healthy state (s, e, x, r) = (1, 0, 0, 0) is always an equilibrium; its
 local stability is decided by the spectral abscissa of the Metzler matrix U
-built from the exposed/infected blocks of the healthy-state Jacobian J. The
-dense U and J are each kron(I_k, base) plus per-node diagonal blocks, and
-J is block lower-triangular, so its spectrum is spec U plus that of its r
-block. The endemic equilibrium is found as a fixed point of the positive map
-f(z) = Q*(z)^-1 M*(z) z with per-node simplex renormalization.
+built from the exposed/infected blocks of the healthy-state Jacobian J. U,
+the r block R = A - diag(alpha) and J are written in the paper's block form
+from one A = Phi - diag(gamma), and J is block lower-triangular, so its
+spectrum is spec U plus spec R. The endemic equilibrium is found as a fixed
+point of the positive map f(z) = Q*(z)^-1 M*(z) z with per-node simplex
+renormalization.
 """
 from __future__ import annotations
 
@@ -87,36 +88,28 @@ def spectral_abscissa(matrix: np.ndarray) -> float:
     return float(_eigvals(matrix).real.max())
 
 
-def _assemble(base: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """kron(I_k, base) plus the k x k grid of diagonal blocks diag(blocks[a, b]),
-    for an n x n base and a (k, k, n) array of per-node entries."""
-    k, n = blocks.shape[0], base.shape[0]
-    out = np.zeros((k, n, k, n))
-    for a in range(k):
-        out[a, :, a] = base
-    node = np.arange(n)
-    out[:, node, :, node] += blocks.transpose(2, 0, 1)
-    return out.reshape(k * n, k * n)
-
-
-def _healthy_part(params: EpidemicParams, network: FlowNetwork, part: slice) -> np.ndarray:
-    """Rows and columns ``part`` of the (e, x, r) Jacobian at the healthy state."""
+def _healthy_part(params: EpidemicParams, network: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """(U, R) of the (e, x, r) Jacobian at the healthy state, from one A^T."""
     if params.n != network.n:
         raise DimensionMismatch("params and network node counts differ")
-    a, b, s, d = params.alpha, params.beta, params.sigma, params.delta
-    o = np.zeros_like(a)
-    blocks = np.array([[-s, b, o], [s, -d, o], [o, d, -a]])
-    return _assemble(_transport_t(network).T, blocks[part, part])
+    a = _transport_t(network).T
+    u = np.block([[a - np.diag(params.sigma), np.diag(params.beta)],
+                  [np.diag(params.sigma), a - np.diag(params.delta)]])
+    return u, a - np.diag(params.alpha)
 
 
 def u_matrix(params: EpidemicParams, network: FlowNetwork) -> np.ndarray:
     """2n x 2n Metzler block [[-Sigma-Gamma+Phi, B], [Sigma, -D-Gamma+Phi]]."""
-    return _healthy_part(params, network, slice(0, 2))
+    return _healthy_part(params, network)[0]
 
 
 def healthy_jacobian(params: EpidemicParams, network: FlowNetwork) -> np.ndarray:
-    """3n x 3n Jacobian of the (e, x, r) dynamics at the healthy state."""
-    return _healthy_part(params, network, slice(0, 3))
+    """3n x 3n Jacobian [[U, 0], [0, D, R]] of the (e, x, r) dynamics at the
+    healthy state, with R = Phi - diag(alpha + gamma)."""
+    u, r = _healthy_part(params, network)
+    n = network.n
+    return np.block([[u, np.zeros((2 * n, n))],
+                     [np.zeros((n, n)), np.diag(params.delta), r]])
 
 
 def classify_healthy(
@@ -132,8 +125,8 @@ def classify_healthy(
     """
     if not (np.isfinite(marginal_band) and marginal_band >= 0):
         raise ValidationError("marginal_band must be finite and nonnegative")
-    eig_u = _eigvals(u_matrix(params, network))
-    eig_r = _eigvals(_healthy_part(params, network, slice(2, 3)))
+    u, r = _healthy_part(params, network)
+    eig_u, eig_r = _eigvals(u), _eigvals(r)
     s_u = float(eig_u.real.max())
     if s_u < -marginal_band:
         label = STABLE
@@ -279,12 +272,28 @@ def uniqueness_condition(params: EpidemicParams, network: FlowNetwork) -> bool:
     return bool(np.all(params.beta >= network.gamma))
 
 
+_GAP_BLOCK_BYTES = 2 << 20
+
+
+def _nearest_gaps(a: np.ndarray, b: np.ndarray, skip_self: bool = False) -> np.ndarray:
+    """Distance from each point of a to the nearest point of b, over blocks of
+    rows of a whose gaps to b take about 2 MB; with skip_self, b is a and each
+    point's gap to itself is left out. An empty b raises ValueError."""
+    a, b = np.ravel(a), np.ravel(b)
+    rows = max(1, _GAP_BLOCK_BYTES // (16 * max(len(b), 1)))
+    out = np.empty(len(a))
+    for start in range(0, len(a), rows):
+        gaps = np.abs(a[start : start + rows, None] - b[None, :])
+        if skip_self:
+            k = np.arange(len(gaps))
+            gaps[k, start + k] = np.inf
+        out[start : start + rows] = gaps.min(axis=1)
+    return out
+
+
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Hausdorff distance between two finite point sets in the complex plane."""
-    a = np.asarray(a).reshape(-1, 1)
-    b = np.asarray(b).reshape(1, -1)
-    gaps = np.abs(a - b)
-    return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
+    return float(max(_nearest_gaps(a, b).max(), _nearest_gaps(b, a).max()))
 
 
 def _classify_perturbed(report: StabilityReport, params: EpidemicParams, network: FlowNetwork,
@@ -293,12 +302,11 @@ def _classify_perturbed(report: StabilityReport, params: EpidemicParams, network
     report's band; Hausdorff drift between the two Jacobian spectra). report is
     classify_healthy's on network, with distinct eigenvalues (gap > 1e-8)."""
     eig0 = report.jacobian_spectrum
-    gaps = np.abs(eig0.reshape(-1, 1) - eig0.reshape(1, -1))
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() <= 1e-8:
+    closest = _nearest_gaps(eig0, eig0, skip_self=True).min()
+    if closest <= 1e-8:
         raise DegenerateSpectrum(
             f"healthy-state Jacobian has eigenvalues closer than 1e-8 "
-            f"(min gap {gaps.min():.3e})"
+            f"(min gap {closest:.3e})"
         )
     after = classify_healthy(params, perturb_flows_balanced(network, theta), report.marginal_band)
     return after, hausdorff_distance(eig0, after.jacobian_spectrum)

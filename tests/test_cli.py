@@ -185,6 +185,14 @@ class TestStability:
         report = read_json(tmp_path / "stability.json")
         assert report["perturbation"]["eigenvalue_drift"] >= 0.0
 
+    @pytest.mark.parametrize("scale", ["1e9", "1e12"])
+    def test_large_perturbation_scale_accepted(self, tmp_path, scale):
+        """theta = scale * gamma is balanced at every scale. Fails at the
+        parent, whose balance check used an absolute bound of 1e-10."""
+        assert run("stability", "--demo", "five-node", "--perturb-scale", scale,
+                   "--out-dir", str(tmp_path)) == 0
+        assert read_json(tmp_path / "stability.json")["perturbation"]["theta_scale"] == float(scale)
+
     def test_perturbation_solves_each_network_once(self, tmp_path):
         # a 2n and an n eigensolve for the network, the same for its
         # perturbation: the drift reuses the command's own report

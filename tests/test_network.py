@@ -183,6 +183,22 @@ class TestConstructorOracle:
         fields = {f.name for f in dataclasses.fields(FlowNetwork)}
         assert fields == {"node_ids", "populations", "gamma", "routing"}
 
+    def test_coupling_comes_from_the_transport_operator(self):
+        # Phi has one formula: A^T from _transport_t, transposed, with gamma
+        # put back on its diagonal, which leaves +0.0 there, also at a node
+        # without travel
+        flows = np.array([[0.0, 4.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        rng = np.random.default_rng(12)
+        nets = [build_network(["a", "b", "c"], [100.0, 200.0, 50.0], flows),
+                random_balanced_network(rng, 2), random_balanced_network(rng, 5),
+                demo.synthetic_county_system(n=87, seed=1)[0]]
+        assert nets[0].gamma[2] == 0
+        for net in nets:
+            phi = net.coupling
+            assert np.array_equal(phi, _transport_t(net).T + np.diag(net.gamma))
+            diagonal = np.diagonal(phi)
+            assert np.all(diagonal == 0) and not np.signbit(diagonal).any()
+
     def test_network_retains_one_square_array(self):
         # routing; the flows and the coupling are not kept beside it
         n = 400
@@ -535,6 +551,20 @@ class TestPerturbFlows:
         net = random_balanced_network(rng, 4)
         with pytest.raises(NegativeRate):
             perturb_flows_balanced(net, -1.5 * net.gamma)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e6, 1e9, 1e12])
+    def test_balance_bound_scales_with_theta(self, c):
+        """theta = c * gamma satisfies the balance identity exactly and is
+        accepted at every scale; one entry moved by 1e-6 of max(1, max|theta|)
+        is rejected. Fails at the parent from c = 1e9, whose bound was 1e-10
+        whatever the size of theta."""
+        for net in (demo.five_node_system()[0], demo.synthetic_county_system(n=87, seed=1)[0]):
+            theta = c * net.gamma
+            assert np.array_equal(perturb_flows_balanced(net, theta).gamma, net.gamma + theta)
+            moved = theta.copy()
+            moved[1] += 1e-6 * max(1.0, np.abs(theta).max())
+            with pytest.raises(PerturbationUnbalanced):
+                perturb_flows_balanced(net, moved)
 
     def test_theta_at_node_without_outflow_rejected(self):
         # theta_c is within the balance tolerance, but c routes nowhere, so

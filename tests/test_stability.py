@@ -35,7 +35,7 @@ from epiflows.errors import (
     ValidationError,
 )
 from epiflows.network import NetworkSchedule
-from epiflows.demo import seeded_initial_state, synthetic_county_system
+from epiflows.demo import five_node_system, seeded_initial_state, synthetic_county_system
 from epiflows.stability import hausdorff_distance
 from helpers import (
     PROPERTY_SETTINGS,
@@ -49,6 +49,7 @@ from helpers import (
     random_irreducible_nonneg,
     random_params,
     random_state,
+    traced_peak,
     u_matrix_by_blocks,
 )
 
@@ -96,6 +97,50 @@ class TestUMatrix:
                         (params.delta[ii] + net.gamma[ii]) if ii == jj else 0.0
                     )
                 assert u[i, j] == pytest.approx(want, abs=1e-15)
+
+
+def block_systems():
+    """Random systems of 1, 2 and 5 nodes, one with an isolated node, the
+    five-node demo and an 87-node gravity county."""
+    rng = np.random.default_rng(30)
+    systems = [(random_balanced_network(rng, n), random_params(rng, n)) for n in (1, 2, 5)]
+    flows = np.array([[0.0, 4.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    systems.append((build_network(["a", "b", "c"], [100.0, 200.0, 50.0], flows),
+                    random_params(rng, 3)))
+    net, params, _ = synthetic_county_system(n=87, seed=1)
+    return systems + [five_node_system(), (net, params)]
+
+
+class TestHealthyBlocks:
+    """U, R and J are the paper's blocks, written from one A = Phi - diag(gamma)."""
+
+    def test_jacobian_is_the_block_form(self):
+        for net, params in block_systems():
+            a, n = net.coupling - np.diag(net.gamma), net.n
+            u = u_matrix(params, net)
+            assert np.array_equal(u, np.block([
+                [a - np.diag(params.sigma), np.diag(params.beta)],
+                [np.diag(params.sigma), a - np.diag(params.delta)]]))
+            assert np.array_equal(healthy_jacobian(params, net), np.block([
+                [u, np.zeros((2 * n, n))],
+                [np.zeros((n, n)), np.diag(params.delta), a - np.diag(params.alpha)]]))
+
+    def test_spectrum_is_that_of_u_and_r(self):
+        for net, params in block_systems():
+            a = net.coupling - np.diag(net.gamma)
+            eig_u = np.linalg.eigvals(u_matrix(params, net))
+            report = classify_healthy(params, net)
+            want = np.concatenate([eig_u, np.linalg.eigvals(a - np.diag(params.alpha))])
+            assert np.array_equal(report.jacobian_spectrum, np.sort_complex(want))
+            assert report.s_of_U == eig_u.real.max()
+
+    def test_one_transport_product_per_classification(self, five_node):
+        """Fails at the parent, which built A^T once for U and once for R."""
+        net, params = five_node
+        with mock.patch.object(stability, "_transport_t",
+                               wraps=stability._transport_t) as spy:
+            classify_healthy(params, net)
+        assert spy.call_count == 1
 
 
 class TestClassifyHealthy:
@@ -393,6 +438,10 @@ class TestTravelScaling:
             assert report.classification == label
 
 
+def all_pairs_gaps(a, b):
+    return np.abs(np.reshape(a, (-1, 1)) - np.reshape(b, (1, -1)))
+
+
 class TestHausdorff:
     def test_symmetry_and_zero(self):
         a = np.array([1.0 + 1j, 2.0])
@@ -400,6 +449,40 @@ class TestHausdorff:
         b = np.array([1.0 + 1j, 2.5])
         assert hausdorff_distance(a, b) == pytest.approx(0.5)
         assert hausdorff_distance(b, a) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("block_bytes", [1, 200, None])
+    def test_blocks_match_all_pairs_bit_for_bit(self, monkeypatch, block_bytes):
+        # one row per block, a few rows per block, and the default; rounded
+        # points give ties, and sizes of 1 give single points. The parent
+        # had no _nearest_gaps, so this fails there on the name alone
+        if block_bytes is not None:
+            monkeypatch.setattr(stability, "_GAP_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(31)
+        pairs = [tuple(np.round(rng.normal(size=k) + 1j * rng.normal(size=k), 1)
+                       for k in rng.integers(1, 40, size=2)) for _ in range(60)]
+        pairs += [(np.array([0.5j]), np.array([0.5j, 0.5j, 1.0])), (np.array([2.0]),) * 2]
+        for a, b in pairs:
+            gaps = all_pairs_gaps(a, b)
+            want = max(gaps.min(axis=1).max(), gaps.min(axis=0).max())
+            assert hausdorff_distance(a, b) == want
+            gaps = all_pairs_gaps(a, a)
+            np.fill_diagonal(gaps, np.inf)
+            assert stability._nearest_gaps(a, a, skip_self=True).min() == gaps.min()
+
+    def test_empty_sets_raise_as_numpy_does(self):
+        for a, b in (([], [1.0]), ([1.0], []), ([], [])):
+            with pytest.raises(ValueError):
+                hausdorff_distance(np.array(a), np.array(b))
+
+    def test_drift_holds_no_all_pairs_matrix(self):
+        """The drift's traced peak is the classification's plus two gap
+        blocks. Fails at the parent, whose 3n x 3n complex gap matrices took
+        the peak at n = 300 to 25.9 MB against 3.6 MB for a classification."""
+        net, params, _ = synthetic_county_system(n=300, seed=1)
+        _, classify_peak = traced_peak(lambda: classify_healthy(params, net))
+        _, drift_peak = traced_peak(
+            lambda: eigenvalue_drift_under_perturbation(params, net, 0.1 * net.gamma))
+        assert drift_peak < classify_peak + 2 * stability._GAP_BLOCK_BYTES
 
 
 def two_state_trajectory(state, network):
